@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 verify (build + full gtest suite via ctest),
-# the declarative experiment-API gates (spec round-trip + legacy parity
-# via run_experiment), the sweep-engine equivalence/speedup bench, the
-# Monte-Carlo engine bench, the sharded sweep demo (contiguous AND
-# pilot-cost-balanced splits), the figure/ablation grid benches (all in
-# smoke mode), and the micro benches with a minimal measurement budget.
+# CI entry point: tier-1 verify (build + full gtest suite via ctest,
+# including the byte goldens that pin every preset payload), the
+# declarative experiment-API gates (spec round-trip + parity checks via
+# run_experiment), the sweep-engine equivalence/speedup bench, the
+# Monte-Carlo engine bench, the two-process sharded run demo
+# (contiguous AND pilot-cost-balanced splits), the fleet soak, the
+# figure/ablation grid benches (all in smoke mode), and the micro
+# benches with a minimal measurement budget.
 # Leaves the BENCH_*.json artifacts in build/ for the workflow to
 # archive.
 set -euo pipefail
@@ -21,10 +23,12 @@ cmake --build build -j"${JOBS}"
 # file, execute it end-to-end through run_experiment, and require
 #   * the spec file to round-trip BYTE-FOR-BYTE through parse +
 #     re-serialisation (the wire format must be canonical), and
-#   * the service answers to match the legacy entry points
-#     (SweepEngine::run / run_mc): analytic within 1e-12 (in practice
-#     exactly) and Monte-Carlo accumulator states bitwise under CRN.
-# Non-zero exit on any divergence.
+#   * the parity checks to hold: the batched analytic solve within 1e-12
+#     of the scalar batch=1 path, a rerun of the re-parsed spec and an
+#     identity-schedule rerun byte-identical to the answer.
+# The payloads themselves are pinned by the byte goldens in
+# tests/golden_scenarios.h (fig2_val, val_protocol, rare_event), which
+# the ctest run above gates.  Non-zero exit on any divergence.
 (
   cd build
   ./run_experiment --preset fig2_val --smoke 1 --spec-out fig2_spec.json
@@ -33,14 +37,15 @@ cmake --build build -j"${JOBS}"
 )
 
 # --- Scenario-model gate: the pluggable detector/attacker grids run
-# end-to-end from their spec files.  The legacy-parity sections skip
-# themselves (the pre-plugin engine cannot express these models); the
-# plugin-path check still gates that a re-parsed spec reruns to
-# CANONICALLY IDENTICAL bytes, and --round-trip-check that the model
-# descriptors serialise canonically.  rare_event additionally exercises
-# the spec.mc.vr round-trip and the vr-neutral parity gate (stripping
-# the vr block must leave the DES mc payload bitwise), val_protocol_ci
-# the CI-targeted pair-averaged stopping on the protocol backend.
+# end-to-end from their spec files.  The plugin-path check gates that a
+# re-parsed spec reruns to CANONICALLY IDENTICAL bytes, and
+# --round-trip-check that the model descriptors serialise canonically;
+# the time-varying presets skip the scalar-path and constant-schedule
+# checks (their analytic answers chain MissionAnalyzer instead).
+# rare_event additionally exercises the spec.mc.vr round-trip and the
+# vr-neutral parity gate (stripping the vr block must leave the DES mc
+# payload bitwise), val_protocol_ci the CI-targeted pair-averaged
+# stopping on the protocol backend.
 for preset in detector_matrix attacker_matrix_v2 mission_phased \
               attacker_surge rare_event val_protocol_ci; do
   (
@@ -62,36 +67,34 @@ done
 # antithetic pairs stop beating plain CRN.  Records BENCH_mc.json.
 (cd build && ./bench_mc --smoke)
 
-# --- Sharded sweep service demo: two sweep_shard WORKER PROCESSES split
-# each paper spec (concurrently — this is the multi-process path, not a
-# thread demo), then sweep_merge recombines the experiment-result files,
-# reports the cross-shard optima AND the achieved load balance, and
-# gates the merge against a fresh single-process service run: analytic
-# values within 1e-12 and Monte-Carlo accumulator states bitwise
-# identical.  Non-zero exit on any divergence.  fig2 exercises the
-# replication-balanced --policy by-pilot-cost split (every worker
-# derives the identical plan from a deterministic pilot block), fig4 the
-# plain contiguous split.  Records BENCH_shard_merge_fig2.json /
-# BENCH_shard_merge_fig4.json (including per-shard seconds and the
-# slowest/fastest ratio).
+# --- Sharded run demo: two run_experiment PROCESSES each answer one
+# shard of the paper spec (concurrently — this is the multi-process
+# path, not a thread demo), then `run_experiment --merge` recombines the
+# experiment-result files, reports the per-shard seconds and the
+# slowest/fastest ratio, and (--parity-check 1) reruns the merged spec
+# in one process and requires the canonical backend payloads to be
+# BYTE-IDENTICAL.  Non-zero exit on any divergence.  fig2 exercises the
+# replication-balanced by_pilot_cost split (every process derives the
+# identical plan from a deterministic pilot block), fig4 the plain
+# contiguous split.
 run_shard_demo() {
   local plan="$1" policy="$2"
   (
     cd build
-    ./sweep_shard --plan "${plan}" --shards 2 --shard 0 --smoke 1 \
-                  --policy "${policy}" --out "shard_0_${plan}.json" &
+    ./run_experiment --preset "${plan}_val" --smoke 1 --shard 0/2 \
+                     --policy "${policy}" --out "shard_0_${plan}.json" &
     local SHARD0=$!
-    ./sweep_shard --plan "${plan}" --shards 2 --shard 1 --smoke 1 \
-                  --policy "${policy}" --out "shard_1_${plan}.json" &
+    ./run_experiment --preset "${plan}_val" --smoke 1 --shard 1/2 \
+                     --policy "${policy}" --out "shard_1_${plan}.json" &
     local SHARD1=$!
     # Two waits: `wait p0 p1` would report only p1's status.
     wait "${SHARD0}"
     wait "${SHARD1}"
-    ./sweep_merge --inputs "shard_0_${plan}.json,shard_1_${plan}.json" \
-                  --check 1 --json-out "BENCH_shard_merge_${plan}.json"
+    ./run_experiment --merge "shard_0_${plan}.json,shard_1_${plan}.json" \
+                     --parity-check 1 --out "merged_${plan}.json"
   )
 }
-run_shard_demo fig2 by-pilot-cost
+run_shard_demo fig2 by_pilot_cost
 run_shard_demo fig4 contiguous
 
 # --- Fault-tolerant fleet soak: a coordinator drives FOUR fleet_worker

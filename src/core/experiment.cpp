@@ -1201,7 +1201,9 @@ ExperimentSpec ExperimentSpec::from_json(const util::Json& j) {
   return spec;
 }
 
-// --- Result payload codecs (shared with the legacy shard files). ------
+// --- Result payload codecs. -------------------------------------------
+
+namespace {
 
 util::Json evaluation_to_json(const Evaluation& e) {
   auto j = util::Json::object();
@@ -1240,8 +1242,6 @@ Evaluation evaluation_from_json(const util::Json& j) {
   return e;
 }
 
-namespace {
-
 util::Json welford_to_json(const sim::WelfordState& s) {
   auto j = util::Json::object();
   j.set("n", util::Json(static_cast<double>(s.n)));
@@ -1275,6 +1275,8 @@ util::Json mc_point_to_json(const sim::McPointResult& r) {
   j.set("survival_counts", std::move(survival));
   return j;
 }
+
+namespace {
 
 sim::McPointResult mc_point_from_json(const util::Json& j) {
   sim::McPointResult r;
@@ -1320,8 +1322,6 @@ sim::MonteCarloEngine::Stats mc_stats_from_json(const util::Json& j) {
   return s;
 }
 
-namespace {
-
 // The vr codecs follow the mc-point convention: raw accumulator states,
 // replicate estimates, and counts only — every Summary is re-derived on
 // read, which keeps round-trips and shard merges bitwise.
@@ -1359,8 +1359,6 @@ std::vector<double> doubles_from_json(const util::Json& j) {
   for (const auto& v : j.elements()) out.push_back(v.to_double());
   return out;
 }
-
-}  // namespace
 
 util::Json vr_point_to_json(const vr::VrPointResult& r) {
   auto j = util::Json::object();
@@ -1448,6 +1446,8 @@ vr::VrPointResult vr_point_from_json(const util::Json& j) {
   }
   return r;
 }
+
+}  // namespace
 
 // --- ExperimentResult. ------------------------------------------------
 

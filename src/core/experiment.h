@@ -8,9 +8,8 @@
 //     description of one experiment: base Params, named grid axes, the
 //     backends to answer with, the Monte-Carlo schedule, protocol-sim
 //     environment knobs, and an optional shard selection.  A spec file
-//     fully determines a worker's job — it is the wire format the
-//     sweep_shard / sweep_merge / run_experiment tools speak, and the
-//     API a network-facing service would accept.
+//     fully determines a worker's job — it is the wire format
+//     run_experiment and the fleet tools speak.
 //   * core::Backend is the small interface every solver implements;
 //     AnalyticBackend (batched SweepEngine solve), DesBackend
 //     (MonteCarloEngine over simulate_group) and ProtocolSimBackend
@@ -23,10 +22,7 @@
 //
 // Validation errors name the offending JSON path
 // ("spec.backends[1]: unknown backend 'foo'"), whether the spec came
-// from a file or was built in code.  The legacy SweepEngine entry
-// points (run / run_mc / run_shard / run_mc_shard / sweep_t_ids /
-// sweep_mc) remain as thin deprecated wrappers over the same engine
-// primitives this service drives.
+// from a file or was built in code.
 #pragma once
 
 #include <cstddef>
@@ -157,17 +153,10 @@ struct ExperimentSpec {
   [[nodiscard]] static ExperimentSpec from_json(const util::Json& j);
 };
 
-// --- Shared JSON codecs (also used by the legacy shard files). --------
-[[nodiscard]] util::Json evaluation_to_json(const Evaluation& e);
-[[nodiscard]] Evaluation evaluation_from_json(const util::Json& j);
+// --- JSON codecs. ------------------------------------------------------
+/// A Monte-Carlo point as raw accumulator states and counts — the form
+/// a result file carries, from which every Summary is re-derived.
 [[nodiscard]] util::Json mc_point_to_json(const sim::McPointResult& r);
-[[nodiscard]] sim::McPointResult mc_point_from_json(const util::Json& j);
-[[nodiscard]] util::Json vr_point_to_json(const vr::VrPointResult& r);
-[[nodiscard]] vr::VrPointResult vr_point_from_json(const util::Json& j);
-[[nodiscard]] util::Json mc_stats_to_json(
-    const sim::MonteCarloEngine::Stats& s);
-[[nodiscard]] sim::MonteCarloEngine::Stats mc_stats_from_json(
-    const util::Json& j);
 [[nodiscard]] util::Json params_to_json(const Params& p);
 [[nodiscard]] Params params_from_json(const util::Json& j,
                                       const std::string& path = "base");
@@ -193,8 +182,8 @@ struct BackendRun {
 /// The unified answer: per-point results keyed by backend.  Its JSON
 /// form ("midas-experiment-result-v1") embeds the spec (shard selection
 /// normalised to the whole grid, so sibling shards compare equal) plus
-/// this slice's range — the wire format sweep_shard emits and
-/// sweep_merge recombines bitwise.
+/// this slice's range — the wire format `run_experiment --shard` writes
+/// and `run_experiment --merge` recombines bitwise.
 struct ExperimentResult {
   ExperimentSpec spec;
   ShardRange range;
@@ -251,7 +240,7 @@ struct ExperimentServiceOptions {
   /// A non-zero spec.mc.threads takes precedence for the simulation
   /// backends of that request.
   std::size_t threads = 0;
-  /// Analytic engine tuning (cache cap, naive-path toggle).
+  /// Analytic engine tuning (naive-path toggle, factor reuse).
   SweepEngineOptions sweep;
 };
 
@@ -268,8 +257,7 @@ class ExperimentService {
 
   [[nodiscard]] ExperimentResult run(const ExperimentSpec& spec);
 
-  /// The analytic engine behind BackendKind::Analytic (stats, cache
-  /// control for long-lived workers).
+  /// The analytic engine behind BackendKind::Analytic (its stats).
   [[nodiscard]] SweepEngine& sweep_engine() noexcept { return engine_; }
   [[nodiscard]] const ExperimentServiceOptions& options() const noexcept {
     return opts_;

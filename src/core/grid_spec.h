@@ -5,9 +5,9 @@
 // and only the innermost TIDS slice went through the batched engine.
 // GridSpec names the axes once and expands to the full cartesian set of
 // core::Params points (row-major, LAST axis fastest, exactly the order
-// handwritten nested loops produce), so core::SweepEngine::run /
-// run_mc can answer a whole figure — or the whole space — as one
-// batched, CRN-correlated run: one structure exploration per structural
+// handwritten nested loops produce), so core::ExperimentService can
+// answer a whole figure — or the whole space — as one batched,
+// CRN-correlated run: one structure exploration per structural
 // configuration, and Monte-Carlo substreams keyed by replication index
 // only, making contrasts along EVERY axis variance-reduced.
 #pragma once

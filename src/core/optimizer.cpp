@@ -9,8 +9,17 @@ std::vector<double> paper_t_ids_grid() {
 }
 
 SweepResult sweep_t_ids(const Params& base, std::span<const double> grid) {
+  std::vector<Params> points(grid.size(), base);
+  for (std::size_t i = 0; i < grid.size(); ++i) points[i].t_ids = grid[i];
   SweepEngine engine;
-  return engine.sweep_t_ids(base, grid);
+  const auto evals = engine.evaluate(points);
+
+  SweepResult result;
+  result.points.reserve(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    result.points.push_back({grid[i], evals[i]});
+  }
+  return result;
 }
 
 PolicyChoice optimize_policy(const Params& base,

@@ -1,6 +1,7 @@
-// Minimal JSON document model for the sharded sweep service: shard
-// workers persist their GridSpec slice results (core::write_shard_json)
-// and the merge step reads them back, so the encoding must round-trip
+// Minimal JSON document model for the experiment wire format: spec
+// files, experiment-result files (one per shard, recombined by
+// core::merge_experiment_results) and fleet frames all carry raw
+// accumulator states across processes, so the encoding must round-trip
 // every double bit-for-bit — numbers are emitted with 17 significant
 // digits (DBL_DECIMAL_DIG), which strtod maps back to the identical
 // bits.  Non-finite values (the n < 2 infinite CI half-widths, NaN

@@ -559,4 +559,166 @@ inline constexpr const char* kGoldenValProtocolSmokeBackends = R"gold(
 ]
 )gold";
 
+// rare_event --smoke: analytic + plain DES mc payloads over the 2x2
+// t_ids x n_init grid, with every run's vr payload cleared (the vr
+// estimates have their own thread/shard gates in test_vr.cpp and
+// bench_vr).  Captured at commit 2d226c1, while the legacy
+// SweepEngine::run / run_mc entry points still cross-checked these
+// exact payloads; it replaces that cross-check.
+inline constexpr const char* kGoldenRareEventSmokeBackends = R"gold(
+[
+  {
+    "backend": "analytic",
+    "seconds": 0,
+    "evals": [
+      {
+        "mttsf": 16688.937522112697,
+        "ctotal": 465236.0993923163,
+        "cost_group_comm": 442873.17123701103,
+        "cost_status": 498.08884090817725,
+        "cost_rekey": 427.3008240850599,
+        "cost_ids": 19660.799999999992,
+        "cost_beacon": 1757.9606149700385,
+        "cost_partition_merge": 0,
+        "eviction_cost_rate": 18.777875341988587,
+        "p_failure_c1": 0.76703522346868014,
+        "p_failure_c2": 0.23296477653132075,
+        "num_states": 166,
+        "solver_blocks": 83
+      },
+      {
+        "mttsf": 13051.36922497506,
+        "ctotal": 165778.7593140614,
+        "cost_group_comm": 152513.66422154498,
+        "cost_status": 290.23210544522834,
+        "cost_rekey": 143.52943178263195,
+        "cost_ids": 11796.479999999998,
+        "cost_beacon": 1024.348607453747,
+        "cost_partition_merge": 0,
+        "eviction_cost_rate": 10.504947834796047,
+        "p_failure_c1": 0.57907751265654606,
+        "p_failure_c2": 0.42092248734345422,
+        "num_states": 68,
+        "solver_blocks": 34
+      },
+      {
+        "mttsf": 2257.2975331056778,
+        "ctotal": 817101.94971262198,
+        "cost_group_comm": 812791.67054120265,
+        "cost_status": 722.41023400388565,
+        "cost_rekey": 790.12782006264979,
+        "cost_ids": 245.7600000000001,
+        "cost_beacon": 2549.6831788372442,
+        "cost_partition_merge": 0,
+        "eviction_cost_rate": 2.2979385154638727,
+        "p_failure_c1": 0.99999999995422395,
+        "p_failure_c2": 4.5775869872029004e-11,
+        "num_states": 166,
+        "solver_blocks": 83
+      },
+      {
+        "mttsf": 2257.4698808752573,
+        "ctotal": 293511.30786636512,
+        "cost_group_comm": 291127.06371877127,
+        "cost_status": 432.26200055014357,
+        "cost_rekey": 277.56590291746147,
+        "cost_ids": 147.45599999999996,
+        "cost_beacon": 1525.6305901769772,
+        "cost_partition_merge": 0,
+        "eviction_cost_rate": 1.3296539492675485,
+        "p_failure_c1": 0.99999701182176381,
+        "p_failure_c2": 2.9881782363057254e-06,
+        "num_states": 68,
+        "solver_blocks": 34
+      }
+    ]
+  },
+  {
+    "backend": "des",
+    "seconds": 0,
+    "mc": [
+      {
+        "ttsf": {
+          "n": 256,
+          "mean": 18320.818365526065,
+          "m2": 54847162465.38736
+        },
+        "cost_rate": {
+          "n": 256,
+          "mean": 591777.57689324394,
+          "m2": 9802729757095.7734
+        },
+        "replications": 256,
+        "failures_c1": 187,
+        "converged": true,
+        "keys_always_agreed": true,
+        "timeouts": 0,
+        "survival_counts": []
+      },
+      {
+        "ttsf": {
+          "n": 256,
+          "mean": 13741.858140937851,
+          "m2": 22904315047.350174
+        },
+        "cost_rate": {
+          "n": 256,
+          "mean": 202596.23621804477,
+          "m2": 1249494000936.4792
+        },
+        "replications": 256,
+        "failures_c1": 135,
+        "converged": true,
+        "keys_always_agreed": true,
+        "timeouts": 0,
+        "survival_counts": []
+      },
+      {
+        "ttsf": {
+          "n": 256,
+          "mean": 2463.5837985937333,
+          "m2": 1464766571.4853129
+        },
+        "cost_rate": {
+          "n": 256,
+          "mean": 819701.65506619634,
+          "m2": 50487178940.424347
+        },
+        "replications": 256,
+        "failures_c1": 256,
+        "converged": true,
+        "keys_always_agreed": true,
+        "timeouts": 0,
+        "survival_counts": []
+      },
+      {
+        "ttsf": {
+          "n": 256,
+          "mean": 2463.3626265575081,
+          "m2": 1464700360.9304352
+        },
+        "cost_rate": {
+          "n": 256,
+          "mean": 295057.66562115331,
+          "m2": 17514478017.923958
+        },
+        "replications": 256,
+        "failures_c1": 256,
+        "converged": true,
+        "keys_always_agreed": true,
+        "timeouts": 0,
+        "survival_counts": []
+      }
+    ],
+    "mc_stats": {
+      "points": 4,
+      "replications": 1024,
+      "blocks": 16,
+      "rounds": 0,
+      "seconds": 0
+    }
+  }
+]
+)gold";
+
 }  // namespace midas::testing

@@ -1,9 +1,8 @@
 // Declarative experiment API: spec JSON round-trips (bitwise, including
 // non-finite doubles and generic + typed axes), field-path validation
-// errors, new-API vs legacy-entry-point parity (analytic <= 1e-12 — in
-// practice bitwise — and MC bitwise under CRN), result wire-format
-// round-trips, shard-sliced service runs merging to the single-process
-// result, and pilot-cost shard plans.
+// errors, result wire-format round-trips, shard-sliced service runs
+// merging bitwise to the single-process result under every stream mode,
+// merge errors naming the guilty shards, and pilot-cost shard plans.
 #include "core/experiment.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include <limits>
 
 #include "core/experiment_presets.h"
-#include "core/sweep_engine.h"
 
 namespace {
 
@@ -203,46 +201,6 @@ TEST(ExperimentSpec, ValidationErrorsNameTheJsonPath) {
   }
 }
 
-TEST(ExperimentService, AnalyticParityWithLegacyEntryPoint) {
-  ExperimentSpec spec = small_spec();
-  spec.backends = {BackendKind::Analytic};
-
-  ExperimentService service;
-  const auto result = service.run(spec);
-  const auto& run = result.at(BackendKind::Analytic);
-
-  core::SweepEngine engine;
-  const auto legacy = engine.run(spec.grid(), spec.base);
-  ASSERT_EQ(run.evals.size(), legacy.evals.size());
-  for (std::size_t i = 0; i < run.evals.size(); ++i) {
-    EXPECT_EQ(run.evals[i].mttsf, legacy.evals[i].mttsf) << i;
-    EXPECT_EQ(run.evals[i].ctotal, legacy.evals[i].ctotal) << i;
-    EXPECT_EQ(run.evals[i].p_failure_c1, legacy.evals[i].p_failure_c1) << i;
-  }
-}
-
-TEST(ExperimentService, DesParityWithLegacyEntryPointIsBitwiseUnderCrn) {
-  ExperimentSpec spec = small_spec();
-  spec.backends = {BackendKind::Analytic, BackendKind::Des};
-
-  ExperimentService service;
-  const auto result = service.run(spec);
-  const auto& des = result.at(BackendKind::Des);
-
-  core::SweepEngine engine;
-  const auto legacy = engine.run_mc(spec.grid(), spec.base, spec.mc);
-  ASSERT_EQ(des.mc.size(), legacy.points.size());
-  for (std::size_t i = 0; i < des.mc.size(); ++i) {
-    EXPECT_EQ(des.mc[i].ttsf_state.n, legacy.points[i].mc.ttsf_state.n);
-    EXPECT_EQ(des.mc[i].ttsf_state.mean, legacy.points[i].mc.ttsf_state.mean);
-    EXPECT_EQ(des.mc[i].ttsf_state.m2, legacy.points[i].mc.ttsf_state.m2);
-    EXPECT_EQ(des.mc[i].cost_rate_state.mean,
-              legacy.points[i].mc.cost_rate_state.mean);
-    EXPECT_EQ(des.mc[i].replications, legacy.points[i].mc.replications);
-    EXPECT_EQ(des.mc[i].failures_c1, legacy.points[i].mc.failures_c1);
-  }
-}
-
 TEST(ExperimentService, ProtocolBackendRunsAndRecordsInvariants) {
   ExperimentSpec spec = core::experiment_preset("val_protocol", true);
   spec.axes[0].values = {60.0};  // one point keeps the test fast
@@ -262,49 +220,66 @@ TEST(ExperimentService, ProtocolBackendRunsAndRecordsInvariants) {
 }
 
 TEST(ExperimentService, ShardedRunsMergeBitwiseToTheFullGrid) {
-  ExperimentSpec spec = small_spec();
-  spec.backends = {BackendKind::Analytic, BackendKind::Des};
+  // CRN (substreams keyed by replication only), independent streams
+  // (keyed by GLOBAL point index via point_stream_offset), and
+  // antithetic pairs layered on CRN: in every mode a shard split must
+  // reproduce the single-process run bit-for-bit.
+  struct Mode {
+    const char* name;
+    bool crn;
+    bool antithetic;
+  };
+  for (const Mode mode : {Mode{"crn", true, false},
+                          Mode{"independent", false, false},
+                          Mode{"antithetic", true, true}}) {
+    ExperimentSpec spec = small_spec();
+    spec.backends = {BackendKind::Analytic, BackendKind::Des};
+    spec.mc.crn = mode.crn;
+    spec.mc.antithetic = mode.antithetic;
+    spec.mc.survival_horizons = {1e4, 1e6};
 
-  ExperimentService service;
-  const auto full = service.run(spec);
+    ExperimentService service;
+    const auto full = service.run(spec);
 
-  for (const auto policy :
-       {ShardSpec::Policy::Contiguous, ShardSpec::Policy::ByPilotCost}) {
-    std::vector<ExperimentResult> parts;
-    for (std::size_t s = 0; s < 3; ++s) {
-      ExperimentSpec shard = spec;
-      shard.shard.policy = policy;
-      shard.shard.num_shards = 3;
-      shard.shard.shard_index = s;
-      shard.shard.pilot_replications = 4;
-      parts.push_back(service.run(shard));
-    }
-    const auto merged = core::merge_experiment_results(parts);
-    ASSERT_EQ(merged.range.end, full.range.end);
-    const auto& fa = full.at(BackendKind::Analytic);
-    const auto& ma = merged.at(BackendKind::Analytic);
-    for (std::size_t i = 0; i < fa.evals.size(); ++i) {
-      EXPECT_EQ(ma.evals[i].mttsf, fa.evals[i].mttsf) << i;
-    }
-    const auto& fd = full.at(BackendKind::Des);
-    const auto& md = merged.at(BackendKind::Des);
-    for (std::size_t i = 0; i < fd.mc.size(); ++i) {
-      EXPECT_EQ(md.mc[i].ttsf_state.mean, fd.mc[i].ttsf_state.mean) << i;
-      EXPECT_EQ(md.mc[i].ttsf_state.m2, fd.mc[i].ttsf_state.m2) << i;
-      EXPECT_EQ(md.mc[i].replications, fd.mc[i].replications) << i;
-    }
+    for (const auto policy :
+         {ShardSpec::Policy::Contiguous, ShardSpec::Policy::ByPilotCost}) {
+      SCOPED_TRACE(std::string(mode.name) + " / " + core::to_string(policy));
+      std::vector<ExperimentResult> parts;
+      for (std::size_t s = 0; s < 3; ++s) {
+        ExperimentSpec shard = spec;
+        shard.shard.policy = policy;
+        shard.shard.num_shards = 3;
+        shard.shard.shard_index = s;
+        shard.shard.pilot_replications = 4;
+        parts.push_back(service.run(shard));
+      }
+      const auto merged = core::merge_experiment_results(parts);
+      ASSERT_EQ(merged.range.end, full.range.end);
+      const auto& fa = full.at(BackendKind::Analytic);
+      const auto& ma = merged.at(BackendKind::Analytic);
+      for (std::size_t i = 0; i < fa.evals.size(); ++i) {
+        EXPECT_EQ(ma.evals[i].mttsf, fa.evals[i].mttsf) << i;
+      }
+      const auto& fd = full.at(BackendKind::Des);
+      const auto& md = merged.at(BackendKind::Des);
+      for (std::size_t i = 0; i < fd.mc.size(); ++i) {
+        EXPECT_EQ(md.mc[i].ttsf_state.mean, fd.mc[i].ttsf_state.mean) << i;
+        EXPECT_EQ(md.mc[i].ttsf_state.m2, fd.mc[i].ttsf_state.m2) << i;
+        EXPECT_EQ(md.mc[i].replications, fd.mc[i].replications) << i;
+      }
 
-    // The fleet invariant, whole-document: after normalising the merge
-    // provenance (what the coordinator does before answering), the
-    // canonical JSON is byte-identical to the whole-grid run — Des
-    // included.  This is what lets duplicate completions be verified
-    // by bytes and the soak gate compare across process topologies.
-    ExperimentResult normalised = merged;
-    normalised.num_shards = 1;
-    normalised.shard_index = 0;
-    normalised.shard_policy = full.shard_policy;
-    EXPECT_EQ(normalised.canonical_json().dump_compact(),
-              full.canonical_json().dump_compact());
+      // The fleet invariant, whole-document: after normalising the merge
+      // provenance (what the coordinator does before answering), the
+      // canonical JSON is byte-identical to the whole-grid run — Des
+      // included.  This is what lets duplicate completions be verified
+      // by bytes and the soak gate compare across process topologies.
+      ExperimentResult normalised = merged;
+      normalised.num_shards = 1;
+      normalised.shard_index = 0;
+      normalised.shard_policy = full.shard_policy;
+      EXPECT_EQ(normalised.canonical_json().dump_compact(),
+                full.canonical_json().dump_compact());
+    }
   }
 }
 
@@ -325,34 +300,6 @@ TEST(ExperimentResult, WireFormatRoundTripsBitwise) {
     EXPECT_EQ(des.mc[i].ttsf.mean, des2.mc[i].ttsf.mean) << i;
     EXPECT_EQ(des.mc[i].ttsf.ci_half_width, des2.mc[i].ttsf.ci_half_width)
         << i;
-  }
-}
-
-TEST(ExperimentService, LegacySweepWrappersMatchTheService) {
-  // sweep_t_ids / sweep_mc are documented as deprecated wrappers; they
-  // must answer exactly like a 1-axis spec through the service.
-  core::Params base = core::Params::paper_defaults();
-  base.n_init = 12;
-  base.max_groups = 1;
-  base.lambda_c = 1.0 / 1500.0;
-  const std::vector<double> grid{60.0, 600.0};
-
-  core::SweepEngine engine;
-  const auto legacy = engine.sweep_t_ids(base, grid);
-
-  ExperimentSpec spec;
-  spec.name = "wrapper";
-  spec.base = base;
-  AxisSpec t;
-  t.param = "t_ids";
-  t.values = grid;
-  spec.axes = {std::move(t)};
-  ExperimentService service;
-  const auto result = service.run(spec);
-  const auto& evals = result.at(BackendKind::Analytic).evals;
-  ASSERT_EQ(evals.size(), legacy.points.size());
-  for (std::size_t i = 0; i < evals.size(); ++i) {
-    EXPECT_EQ(evals[i].mttsf, legacy.points[i].eval.mttsf) << i;
   }
 }
 
@@ -502,6 +449,29 @@ TEST(ExperimentMerge, ErrorsNameTheGuiltyShardIndices) {
   what = merge_error([&] { (void)core::merge_experiment_results(alien); });
   EXPECT_NE(what.find("shard 1"), std::string::npos) << what;
   EXPECT_NE(what.find("different spec"), std::string::npos) << what;
+
+  // A payload that does not fill its range (a truncated result file).
+  std::vector<ExperimentResult> truncated = parts;
+  truncated[2].backends[0].evals.pop_back();
+  what = merge_error([&] { (void)core::merge_experiment_results(truncated); });
+  EXPECT_NE(what.find("shard 2"), std::string::npos) << what;
+  EXPECT_NE(what.find("payload size does not match its range"),
+            std::string::npos)
+      << what;
+
+  // vr payloads on some shards but not others cannot be placed.
+  std::vector<ExperimentResult> mixed_vr = parts;
+  for (auto& part : mixed_vr) {
+    core::BackendRun des;
+    des.kind = BackendKind::Des;
+    des.mc.resize(part.range.size());
+    part.backends.push_back(std::move(des));
+  }
+  mixed_vr[1].backends[1].vr.resize(mixed_vr[1].range.size());
+  what = merge_error([&] { (void)core::merge_experiment_results(mixed_vr); });
+  EXPECT_NE(what.find("shard 1"), std::string::npos) << what;
+  EXPECT_NE(what.find("vr payload presence differs"), std::string::npos)
+      << what;
 }
 
 TEST(ExperimentResult, CanonicalJsonZeroesOnlyWallClockTimings) {

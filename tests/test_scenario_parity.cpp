@@ -53,6 +53,18 @@ TEST(ScenarioParity, ValProtocolSmokeMatchesPreRefactorGoldenBitwise) {
             strip_newlines(midas::testing::kGoldenValProtocolSmokeBackends));
 }
 
+TEST(ScenarioParity, RareEventSmokePlainPayloadsMatchGoldenBitwise) {
+  // Analytic + plain DES on the hot-λq 2×2 grid; the vr payloads are
+  // cleared because the golden pins what the vr layer must never move.
+  core::ExperimentService service;
+  auto result =
+      service.run(core::experiment_preset("rare_event", /*smoke=*/true));
+  ASSERT_FALSE(result.at(BackendKind::Des).vr.empty());
+  for (auto& run : result.backends) run.vr.clear();
+  EXPECT_EQ(strip_newlines(result.canonical_json().at("backends").dump()),
+            strip_newlines(midas::testing::kGoldenRareEventSmokeBackends));
+}
+
 // --- Constant-schedule parity (PR 9): a single identity segment or an
 // all-inherit mission phase resolves to the base point bitwise, so the
 // backend payloads must still equal the pre-refactor goldens.

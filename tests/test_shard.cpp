@@ -1,17 +1,18 @@
-// Sharded sweep service: plan slicing, shard/merge equivalence with the
-// single-process engine (the acceptance criterion: ≤1e-12 analytic —
-// exact in practice — and BITWISE Monte-Carlo summaries), and the JSON
-// shard-file round trip.
+// Shard plans and tiling: how a grid is sliced across processes, how an
+// orphaned remainder is re-split, which shards a bad tiling names, and
+// explicit uneven slices merging back bitwise through the service.
+// Policy-planned slices are covered in test_experiment.cpp
+// (ExperimentService.ShardedRunsMergeBitwise...).
 #include "core/shard.h"
 
-#include <cmath>
-#include <cstdio>
 #include <gtest/gtest.h>
 
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/experiment.h"
 #include "core/sweep_engine.h"
 
 namespace {
@@ -28,51 +29,11 @@ Params small_params() {
   return p;
 }
 
-/// The m × TIDS slice the analytic equivalence tests run (6 points).
+/// A structure-uniform m × TIDS grid (6 points).
 core::GridSpec small_grid() {
   core::GridSpec spec;
   spec.num_voters({3, 5}).t_ids({30, 120, 480});
   return spec;
-}
-
-void expect_evals_bitwise(const core::Evaluation& a,
-                          const core::Evaluation& b) {
-  EXPECT_EQ(a.mttsf, b.mttsf);
-  EXPECT_EQ(a.ctotal, b.ctotal);
-  EXPECT_EQ(a.cost_rates.group_comm, b.cost_rates.group_comm);
-  EXPECT_EQ(a.cost_rates.status, b.cost_rates.status);
-  EXPECT_EQ(a.cost_rates.rekey, b.cost_rates.rekey);
-  EXPECT_EQ(a.cost_rates.ids, b.cost_rates.ids);
-  EXPECT_EQ(a.cost_rates.beacon, b.cost_rates.beacon);
-  EXPECT_EQ(a.cost_rates.partition_merge, b.cost_rates.partition_merge);
-  EXPECT_EQ(a.eviction_cost_rate, b.eviction_cost_rate);
-  EXPECT_EQ(a.p_failure_c1, b.p_failure_c1);
-  EXPECT_EQ(a.p_failure_c2, b.p_failure_c2);
-  EXPECT_EQ(a.num_states, b.num_states);
-  EXPECT_EQ(a.solver_blocks, b.solver_blocks);
-}
-
-void expect_mc_bitwise(const sim::McPointResult& a,
-                       const sim::McPointResult& b) {
-  EXPECT_EQ(a.ttsf_state.n, b.ttsf_state.n);
-  EXPECT_EQ(a.ttsf_state.mean, b.ttsf_state.mean);
-  EXPECT_EQ(a.ttsf_state.m2, b.ttsf_state.m2);
-  EXPECT_EQ(a.cost_rate_state.n, b.cost_rate_state.n);
-  EXPECT_EQ(a.cost_rate_state.mean, b.cost_rate_state.mean);
-  EXPECT_EQ(a.cost_rate_state.m2, b.cost_rate_state.m2);
-  EXPECT_EQ(a.ttsf.mean, b.ttsf.mean);
-  EXPECT_EQ(a.ttsf.ci_half_width, b.ttsf.ci_half_width);
-  EXPECT_EQ(a.cost_rate.mean, b.cost_rate.mean);
-  EXPECT_EQ(a.replications, b.replications);
-  EXPECT_EQ(a.failures_c1, b.failures_c1);
-  EXPECT_EQ(a.p_failure_c1, b.p_failure_c1);
-  EXPECT_EQ(a.converged, b.converged);
-  EXPECT_EQ(a.survival_counts, b.survival_counts);
-  ASSERT_EQ(a.survival.size(), b.survival.size());
-  for (std::size_t h = 0; h < a.survival.size(); ++h) {
-    EXPECT_EQ(a.survival[h].mean, b.survival[h].mean);
-    EXPECT_EQ(a.survival[h].ci_half_width, b.survival[h].ci_half_width);
-  }
 }
 
 TEST(ShardPlan, ContiguousIsBalancedAndTiles) {
@@ -131,230 +92,13 @@ TEST(ShardPlan, ByStructureKeepsStructureRunsWhole) {
   EXPECT_TRUE(uniform.range(1).empty());
 
   // Each shard pays exactly one exploration for the structures it owns.
+  const auto points = spec.expand(base);
   for (std::size_t s = 0; s < plan.num_shards(); ++s) {
+    const auto r = plan.range(s);
     core::SweepEngine engine;
-    (void)engine.run_shard(spec, base, plan.range(s));
+    (void)engine.evaluate(std::span(points).subspan(r.begin, r.size()));
     EXPECT_EQ(engine.stats().explorations, 1u) << "shard " << s;
   }
-}
-
-TEST(ShardMerge, AnalyticMatchesSingleProcessExactly) {
-  const auto spec = small_grid();
-  const Params base = small_params();
-
-  core::SweepEngine single;
-  const auto whole = single.run(spec, base);
-
-  // Uneven split including a single-point shard, each evaluated by its
-  // own engine (as separate worker processes would).
-  const std::vector<ShardRange> ranges{{0, 1}, {1, 4}, {4, 6}};
-  std::vector<core::GridShardResult> shards;
-  for (const auto& r : ranges) {
-    core::SweepEngine worker;
-    shards.push_back(worker.run_shard(spec, base, r));
-  }
-  const auto merged = core::merge_shards(spec, shards);
-
-  ASSERT_EQ(merged.evals.size(), whole.evals.size());
-  for (std::size_t i = 0; i < whole.evals.size(); ++i) {
-    expect_evals_bitwise(merged.evals[i], whole.evals[i]);
-  }
-}
-
-TEST(ShardMerge, McMergesBitwiseUnderEveryStreamMode) {
-  const auto spec = small_grid();
-  const Params base = small_params();
-
-  sim::McOptions mc;
-  mc.base_seed = 0xFACADE;
-  mc.rel_ci_target = 0.15;
-  mc.min_replications = 32;
-  mc.block = 32;
-  mc.survival_horizons = {1e4, 1e6};
-
-  // CRN (substreams keyed by replication only), independent streams
-  // (keyed by GLOBAL point index via point_stream_offset), and
-  // antithetic pairs layered on CRN: in every mode a k-shard split must
-  // reproduce the single-process run bit-for-bit.
-  struct Mode {
-    const char* name;
-    bool crn;
-    bool antithetic;
-  };
-  for (const Mode mode : {Mode{"crn", true, false},
-                          Mode{"independent", false, false},
-                          Mode{"antithetic", true, true}}) {
-    sim::McOptions opts = mc;
-    opts.crn = mode.crn;
-    opts.antithetic = mode.antithetic;
-
-    core::SweepEngine single;
-    const auto whole = single.run_mc(spec, base, opts);
-
-    const std::vector<ShardRange> ranges{{0, 2}, {2, 3}, {3, 6}};
-    std::vector<core::McGridShardResult> shards;
-    for (const auto& r : ranges) {
-      core::SweepEngine worker;
-      shards.push_back(worker.run_mc_shard(spec, base, r, opts));
-    }
-    const auto merged = core::merge_mc_shards(spec, shards);
-
-    ASSERT_EQ(merged.points.size(), whole.points.size()) << mode.name;
-    for (std::size_t i = 0; i < whole.points.size(); ++i) {
-      SCOPED_TRACE(std::string(mode.name) + " point " +
-                   std::to_string(i));
-      expect_evals_bitwise(merged.points[i].eval, whole.points[i].eval);
-      expect_mc_bitwise(merged.points[i].mc, whole.points[i].mc);
-    }
-    EXPECT_EQ(merged.mc_stats.replications, whole.mc_stats.replications)
-        << mode.name;
-    EXPECT_EQ(merged.mttsf_inside_ci(), whole.mttsf_inside_ci())
-        << mode.name;
-  }
-}
-
-TEST(ShardMerge, ValidatesTilingAndPayloads) {
-  const auto spec = small_grid();  // 6 points
-  const Params base = small_params();
-  core::SweepEngine engine;
-
-  const auto a = engine.run_shard(spec, base, {0, 3});
-  const auto b = engine.run_shard(spec, base, {3, 6});
-
-  // Gap: [0,3) + [4,6).
-  {
-    const auto tail = engine.run_shard(spec, base, {4, 6});
-    const std::vector<core::GridShardResult> gap{a, tail};
-    EXPECT_THROW((void)core::merge_shards(spec, gap),
-                 std::invalid_argument);
-  }
-  // Overlap: [0,3) + [2,6).
-  {
-    const auto over = engine.run_shard(spec, base, {2, 6});
-    const std::vector<core::GridShardResult> lap{a, over};
-    EXPECT_THROW((void)core::merge_shards(spec, lap),
-                 std::invalid_argument);
-  }
-  // Payload size inconsistent with the range.
-  {
-    auto broken = a;
-    broken.evals.pop_back();
-    const std::vector<core::GridShardResult> bad{broken, b};
-    EXPECT_THROW((void)core::merge_shards(spec, bad),
-                 std::invalid_argument);
-  }
-  // Out-of-grid shard range is rejected at the engine.
-  EXPECT_THROW((void)engine.run_shard(spec, base, {4, 9}),
-               std::out_of_range);
-
-  // The happy path including an empty shard.
-  const auto empty = engine.run_shard(spec, base, {6, 6});
-  const std::vector<core::GridShardResult> full{a, b, empty};
-  const auto merged = core::merge_shards(spec, full);
-  EXPECT_EQ(merged.evals.size(), 6u);
-}
-
-TEST(ShardFileJson, RoundTripsBitwise) {
-  const auto spec = small_grid();
-  const Params base = small_params();
-
-  sim::McOptions mc;
-  mc.base_seed = 0x5EED;
-  mc.rel_ci_target = 0.2;
-  mc.min_replications = 32;
-  mc.block = 32;
-  mc.survival_horizons = {1e5};
-
-  core::SweepEngine engine;
-  core::ShardFile file;
-  file.plan = "unit";
-  file.mode = "smoke";
-  file.grid_points = spec.num_points();
-  file.num_shards = 3;
-  file.shard_index = 1;
-  file.has_mc = true;
-  file.result = engine.run_mc_shard(spec, base, {1, 4}, mc);
-
-  const std::string path = "/tmp/midas_test_shard.json";
-  core::write_shard_json(path, file);
-  const auto back = core::read_shard_json(path);
-  std::remove(path.c_str());
-
-  EXPECT_EQ(back.plan, file.plan);
-  EXPECT_EQ(back.mode, file.mode);
-  EXPECT_EQ(back.grid_points, file.grid_points);
-  EXPECT_EQ(back.num_shards, file.num_shards);
-  EXPECT_EQ(back.shard_index, file.shard_index);
-  EXPECT_EQ(back.has_mc, file.has_mc);
-  EXPECT_EQ(back.result.range, file.result.range);
-  ASSERT_EQ(back.result.evals.size(), file.result.evals.size());
-  for (std::size_t i = 0; i < file.result.evals.size(); ++i) {
-    expect_evals_bitwise(back.result.evals[i], file.result.evals[i]);
-  }
-  ASSERT_EQ(back.result.mc.size(), file.result.mc.size());
-  for (std::size_t i = 0; i < file.result.mc.size(); ++i) {
-    expect_mc_bitwise(back.result.mc[i], file.result.mc[i]);
-  }
-  EXPECT_EQ(back.result.mc_stats.replications,
-            file.result.mc_stats.replications);
-  EXPECT_EQ(back.result.mc_stats.seconds, file.result.mc_stats.seconds);
-
-  // Metadata disagreement is caught by the file-level merge.
-  auto other = back;
-  other.shard_index = 0;
-  other.plan = "different";
-  const std::vector<core::ShardFile> bad{file, other};
-  EXPECT_THROW((void)core::merge_shard_files(bad), std::invalid_argument);
-
-  // Duplicate shard index too.
-  const std::vector<core::ShardFile> dup{file, file};
-  EXPECT_THROW((void)core::merge_shard_files(dup), std::invalid_argument);
-}
-
-TEST(ShardFileJson, FileLevelMergeReconstructsTheGrid) {
-  const auto spec = small_grid();
-  const Params base = small_params();
-
-  sim::McOptions mc;
-  mc.base_seed = 0xFACADE;
-  mc.rel_ci_target = 0.2;
-  mc.min_replications = 32;
-  mc.block = 32;
-
-  core::SweepEngine single;
-  const auto whole = single.run_mc(spec, base, mc);
-
-  const auto plan = ShardPlan::contiguous(spec.num_points(), 2);
-  std::vector<core::ShardFile> files;
-  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
-    core::SweepEngine worker;
-    core::ShardFile f;
-    f.plan = "unit";
-    f.mode = "smoke";
-    f.grid_points = spec.num_points();
-    f.num_shards = plan.num_shards();
-    f.shard_index = s;
-    f.has_mc = true;
-    f.result = worker.run_mc_shard(spec, base, plan.range(s), mc);
-    // Through the serialization layer, as the real service runs.
-    const std::string path =
-        "/tmp/midas_test_shard_" + std::to_string(s) + ".json";
-    core::write_shard_json(path, f);
-    files.push_back(core::read_shard_json(path));
-    std::remove(path.c_str());
-  }
-
-  const auto merged = core::merge_shard_files(files);
-  EXPECT_EQ(merged.plan, "unit");
-  EXPECT_EQ(merged.num_shards, 2u);
-  ASSERT_EQ(merged.evals.size(), whole.points.size());
-  ASSERT_TRUE(merged.has_mc);
-  for (std::size_t i = 0; i < whole.points.size(); ++i) {
-    SCOPED_TRACE("point " + std::to_string(i));
-    expect_evals_bitwise(merged.evals[i], whole.points[i].eval);
-    expect_mc_bitwise(merged.mc[i], whole.points[i].mc);
-  }
-  EXPECT_EQ(merged.mc_stats.replications, whole.mc_stats.replications);
 }
 
 TEST(ShardPlan, ReplanSplitsTheUncompletedRemainderDeterministically) {
@@ -389,9 +133,143 @@ TEST(ShardPlan, ReplanSplitsTheUncompletedRemainderDeterministically) {
   EXPECT_THROW((void)ShardPlan::replan(orphan, 0), std::invalid_argument);
 }
 
+/// small_grid() as a declarative spec over the small_params() base.
+core::ExperimentSpec small_experiment() {
+  core::ExperimentSpec spec;
+  spec.name = "shard";
+  spec.mode = "unit";
+  spec.base = small_params();
+  core::AxisSpec m;
+  m.param = "num_voters";
+  m.values = {3, 5};
+  core::AxisSpec t;
+  t.param = "t_ids";
+  t.values = {30, 120, 480};
+  spec.axes = {std::move(m), std::move(t)};
+  return spec;
+}
+
+/// The slice [begin, end) of `spec`, labelled shard `index` of `count`.
+core::ExperimentSpec explicit_slice(core::ExperimentSpec spec,
+                                    ShardRange range, std::size_t index,
+                                    std::size_t count) {
+  spec.shard.policy = core::ShardSpec::Policy::Explicit;
+  spec.shard.range = range;
+  spec.shard.shard_index = index;
+  spec.shard.num_shards = count;
+  return spec;
+}
+
+/// Canonical JSON of a merged result with its merge provenance reset to
+/// the single-process form, for byte comparison against a whole run.
+std::string as_single_process(core::ExperimentResult merged,
+                              const core::ExperimentResult& whole) {
+  merged.num_shards = 1;
+  merged.shard_index = 0;
+  merged.shard_policy = whole.shard_policy;
+  return merged.canonical_json().dump_compact();
+}
+
+TEST(ShardMerge, McMergesBitwiseUnderEveryStreamMode) {
+  core::ExperimentSpec spec = small_experiment();
+  spec.backends = {core::BackendKind::Analytic, core::BackendKind::Des};
+  spec.mc.base_seed = 0xFACADE;
+  spec.mc.rel_ci_target = 0.15;
+  spec.mc.min_replications = 32;
+  spec.mc.block = 32;
+  spec.mc.survival_horizons = {1e4, 1e6};
+
+  // CRN (substreams keyed by replication only), independent streams
+  // (keyed by GLOBAL point index via point_stream_offset), and
+  // antithetic pairs layered on CRN: in every mode an uneven explicit
+  // split must reproduce the single-process run bit-for-bit.
+  struct Mode {
+    const char* name;
+    bool crn;
+    bool antithetic;
+  };
+  for (const Mode mode : {Mode{"crn", true, false},
+                          Mode{"independent", false, false},
+                          Mode{"antithetic", true, true}}) {
+    SCOPED_TRACE(mode.name);
+    core::ExperimentSpec moded = spec;
+    moded.mc.crn = mode.crn;
+    moded.mc.antithetic = mode.antithetic;
+
+    core::ExperimentService single;
+    const auto whole = single.run(moded);
+
+    const std::vector<ShardRange> ranges{{0, 2}, {2, 3}, {3, 6}};
+    std::vector<core::ExperimentResult> parts;
+    for (std::size_t s = 0; s < ranges.size(); ++s) {
+      core::ExperimentService worker;
+      parts.push_back(
+          worker.run(explicit_slice(moded, ranges[s], s, ranges.size())));
+    }
+    const auto merged = core::merge_experiment_results(parts);
+
+    const auto& wd = whole.at(core::BackendKind::Des);
+    const auto& md = merged.at(core::BackendKind::Des);
+    ASSERT_EQ(wd.mc.size(), 6u);
+    ASSERT_EQ(md.mc.size(), wd.mc.size());
+    for (std::size_t i = 0; i < wd.mc.size(); ++i) {
+      EXPECT_GE(wd.mc[i].replications, 32u) << i;
+      EXPECT_EQ(md.mc[i].ttsf_state.mean, wd.mc[i].ttsf_state.mean) << i;
+      EXPECT_EQ(md.mc[i].ttsf_state.m2, wd.mc[i].ttsf_state.m2) << i;
+      EXPECT_EQ(md.mc[i].replications, wd.mc[i].replications) << i;
+    }
+    EXPECT_EQ(as_single_process(merged, whole),
+              whole.canonical_json().dump_compact());
+  }
+}
+
+TEST(ShardMerge, ValidatesTilingAndPayloads) {
+  core::ExperimentSpec spec = small_experiment();  // 6 points
+  spec.backends = {core::BackendKind::Analytic};
+  core::ExperimentService service;
+  const auto slice = [&](ShardRange range, std::size_t index) {
+    return service.run(explicit_slice(spec, range, index, 3));
+  };
+
+  const auto a = slice({0, 3}, 0);
+  const auto b = slice({3, 6}, 1);
+
+  // Gap: [0,3) + [4,6).
+  {
+    const std::vector<core::ExperimentResult> gap{a, slice({4, 6}, 1)};
+    EXPECT_THROW((void)core::merge_experiment_results(gap),
+                 std::invalid_argument);
+  }
+  // Overlap: [0,3) + [2,6).
+  {
+    const std::vector<core::ExperimentResult> lap{a, slice({2, 6}, 1)};
+    EXPECT_THROW((void)core::merge_experiment_results(lap),
+                 std::invalid_argument);
+  }
+  // Payload size inconsistent with the range.
+  {
+    auto broken = a;
+    broken.backends[0].evals.pop_back();
+    const std::vector<core::ExperimentResult> bad{broken, b};
+    EXPECT_THROW((void)core::merge_experiment_results(bad),
+                 std::invalid_argument);
+  }
+  // An out-of-grid slice is rejected before anything runs.
+  EXPECT_THROW((void)slice({4, 9}, 1), std::invalid_argument);
+
+  // The happy path including an empty shard reproduces the whole grid.
+  const std::vector<core::ExperimentResult> full{a, b, slice({6, 6}, 2)};
+  const auto merged = core::merge_experiment_results(full);
+  EXPECT_EQ(merged.at(core::BackendKind::Analytic).evals.size(), 6u);
+  const auto whole = service.run(spec);
+  EXPECT_EQ(as_single_process(merged, whole),
+            whole.canonical_json().dump_compact());
+}
+
 TEST(ShardTiling, ErrorsNameTheGuiltyShardIndices) {
-  // The labeled overload is what merge paths use: errors must name the
-  // caller's shard indices (7 and 3 here), not list positions.
+  // With labels attached (as merge_experiment_results passes them),
+  // errors must name the caller's shard indices (7 and 3 here), not
+  // list positions.
   const std::vector<std::size_t> labels = {7, 3};
   const auto error_of = [&](const std::vector<ShardRange>& ranges) {
     try {

@@ -154,7 +154,7 @@ TEST(Stats, WelfordStateRoundTripsAndMerges) {
   for (int i = 0; i < 257; ++i) a.push(dist(rng));
   for (int i = 0; i < 63; ++i) b.push(dist(rng));
 
-  // Export → import is an exact copy (bitwise — the shard files rely
+  // Export → import is an exact copy (bitwise — shard result files rely
   // on this to reproduce summaries across processes).
   const auto round = Welford::from_state(a.state());
   EXPECT_EQ(round.count(), a.count());

@@ -120,8 +120,8 @@ TEST(Cli, WrongTypeAccessThrows) {
 
 TEST(Cli, SmallDoubleDefaultSurvives) {
   // Regression: std::to_string rendered a 1e-12 default as "0.000000",
-  // silently replacing sub-micro defaults with zero (sweep_merge's
-  // equality tolerance among them).
+  // silently replacing sub-micro defaults with zero (run_experiment's
+  // --tolerance among them).
   Cli cli("prog", "test");
   cli.flag("tol", 1e-12, "tolerance");
   cli.flag("big", 2.5e+300, "huge");
@@ -146,7 +146,7 @@ TEST(Json, ScalarsAndContainersRoundTrip) {
   const auto parsed = Json::parse(obj.dump());
   EXPECT_EQ(parsed.at("name").as_string(), "shard \"zero\"\n");
   EXPECT_EQ(parsed.at("count").as_size(), 12u);
-  // Bitwise round-trip is what the shard files rely on.
+  // Bitwise round-trip is what shard result files rely on.
   EXPECT_EQ(parsed.at("precise").as_number(), 0.1234567890123456789);
   EXPECT_TRUE(parsed.at("flag").as_bool());
   EXPECT_TRUE(parsed.at("nothing").is_null());

@@ -1,38 +1,52 @@
 // One-shot driver of the declarative experiment API: executes a JSON
 // ExperimentSpec end-to-end through core::ExperimentService and writes
-// the unified result file.  This is the CLI face of the service — the
-// same spec document a sweep_shard fleet splits up runs here as one
-// process, and a future network-facing service would accept unchanged.
+// the unified result file.  It is also the multi-process path: k
+// processes each answer one shard of the same spec and a merge step
+// recombines their result files, with no coordination beyond agreeing
+// on the spec.
 //
 //   run_experiment --spec fig2.json --out result.json
 //   run_experiment --preset fig2_val --smoke 1 --spec-out fig2.json
+//   run_experiment --spec fig2.json --shard 0/2 --out s0.json &
+//   run_experiment --spec fig2.json --shard 1/2 --out s1.json &
+//   run_experiment --merge s0.json,s1.json --out merged.json
+//
+// The merged result equals the single-process run exactly (analytic
+// bitwise; MC summaries bitwise because CRN substreams are keyed by
+// replication only and non-CRN streams by global point index).
+// --policy by_pilot_cost balances predicted Monte-Carlo work instead of
+// point counts (see ShardPlan::by_pilot_cost); every process derives
+// the identical plan from the same deterministic pilot.
 //
 // CI gates ride along:
 //   --round-trip-check 1   re-serialise the parsed spec and fail unless
 //                          it reproduces the input file byte-for-byte
 //                          (the wire format must be canonical);
-//   --parity-check 1       re-answer the spec through the LEGACY entry
-//                          points (SweepEngine::run / run_mc,
-//                          MonteCarloEngine::run_protocol) and fail
-//                          unless analytic values agree to --tolerance
-//                          (in practice exactly) and Monte-Carlo
-//                          accumulator states are bitwise identical;
-//                          constant specs additionally rerun with an
-//                          identity one-segment schedule attached and
-//                          gate the canonical backend payloads
-//                          byte-for-byte (a constant schedule must BE
-//                          the constant model).
+//   --parity-check 1       re-answer the spec along independent paths
+//                          and fail on any divergence: the scalar
+//                          batch=1 analytic solve, a rerun of the
+//                          re-parsed spec, an identity-schedule rerun
+//                          (a constant schedule must BE the constant
+//                          model), a vr-stripped rerun (vr must leave
+//                          the plain DES payload bitwise), and the
+//                          protocol sim driven by MonteCarloEngine
+//                          directly.  With --merge, rerun the merged
+//                          spec in one process and byte-compare the
+//                          canonical backend payloads.
+// The payloads themselves are pinned by the byte goldens in
+// tests/golden_scenarios.h.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "check_common.h"
 #include "core/experiment.h"
 #include "core/experiment_presets.h"
 #include "core/sweep_engine.h"
@@ -45,8 +59,45 @@
 namespace {
 
 using namespace midas;
-using tools::eval_rel_diff;
-using tools::mc_bitwise_equal;
+
+double rel_diff(double a, double b) {
+  const double scale = std::max({std::fabs(a), std::fabs(b), 1e-300});
+  return std::fabs(a - b) / scale;
+}
+
+/// Largest relative difference over every metric the paper reports.
+double eval_rel_diff(const core::Evaluation& a, const core::Evaluation& b) {
+  double d = std::max(rel_diff(a.mttsf, b.mttsf),
+                      rel_diff(a.ctotal, b.ctotal));
+  d = std::max(d, rel_diff(a.cost_rates.group_comm, b.cost_rates.group_comm));
+  d = std::max(d, rel_diff(a.cost_rates.status, b.cost_rates.status));
+  d = std::max(d, rel_diff(a.cost_rates.rekey, b.cost_rates.rekey));
+  d = std::max(d, rel_diff(a.cost_rates.ids, b.cost_rates.ids));
+  d = std::max(d, rel_diff(a.cost_rates.beacon, b.cost_rates.beacon));
+  d = std::max(d, rel_diff(a.cost_rates.partition_merge,
+                           b.cost_rates.partition_merge));
+  d = std::max(d, rel_diff(a.eviction_cost_rate, b.eviction_cost_rate));
+  d = std::max(d, rel_diff(a.p_failure_c1, b.p_failure_c1));
+  d = std::max(d, rel_diff(a.p_failure_c2, b.p_failure_c2));
+  return d;
+}
+
+bool welford_bitwise_equal(const sim::WelfordState& a,
+                           const sim::WelfordState& b) {
+  return a.n == b.n && a.mean == b.mean && a.m2 == b.m2;
+}
+
+/// Bitwise equality of everything a Monte-Carlo point serialises.
+bool mc_bitwise_equal(const sim::McPointResult& a,
+                      const sim::McPointResult& b) {
+  return welford_bitwise_equal(a.ttsf_state, b.ttsf_state) &&
+         welford_bitwise_equal(a.cost_rate_state, b.cost_rate_state) &&
+         a.replications == b.replications &&
+         a.failures_c1 == b.failures_c1 && a.converged == b.converged &&
+         a.survival_counts == b.survival_counts &&
+         a.timeouts == b.timeouts &&
+         a.keys_always_agreed == b.keys_always_agreed;
+}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -99,87 +150,36 @@ void print_points(const core::ExperimentSpec& spec,
   table.print(std::cout);
 }
 
-/// True when every point of the slice carries legacy-expressible
-/// models: the pre-plugin SweepEngine entry points build an SPN for
-/// every point (run_mc computes the analytic eval alongside the MC
-/// estimate), so time-dependent detectors / non-Poisson attackers have
-/// no legacy twin to compare against.
-bool legacy_expressible(const core::ExperimentSpec& spec,
-                        const core::GridSpec& grid, core::ShardRange range) {
-  // Time-varying params have no legacy twin either: the pre-PR-9 entry
-  // points hand every point to a single time-homogeneous GcsSpnModel.
-  if (spec.base.time_varying()) return false;
-  for (std::size_t i = range.begin; i < range.end; ++i) {
-    const core::Params p = grid.point(spec.base, i);
-    if (!p.detector.analytic_compatible() ||
-        !p.attacker.analytic_compatible()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Re-answers the spec via the legacy entry points and gates equality.
+/// Re-answers the spec along independent paths and gates equality.
 bool parity_check(const core::ExperimentSpec& spec,
                   const core::GridSpec& grid,
                   const core::ExperimentResult& result, double tolerance) {
   bool ok = true;
-  const bool models_legacy = legacy_expressible(spec, grid, result.range);
-  if (!models_legacy) {
-    std::printf("parity legacy entry points:                skipped — the "
-                "grid sweeps models the pre-plugin engine cannot express\n");
-  }
-  core::SweepEngine engine;
-  if (const auto* run = models_legacy
-          ? result.find(core::BackendKind::Analytic)
-          : nullptr) {
-    const auto legacy = engine.run(grid, spec.base);
-    double max_diff = 0.0;
-    for (std::size_t i = 0; i < run->evals.size(); ++i) {
-      max_diff = std::max(
-          max_diff,
-          eval_rel_diff(run->evals[i],
-                        legacy.evals[result.range.begin + i]));
-    }
-    std::printf("parity analytic (SweepEngine::run):        max rel diff "
-                "%.3e (tolerance %.0e) -> %s\n",
-                max_diff, tolerance, max_diff <= tolerance ? "ok" : "FAIL");
-    ok = ok && max_diff <= tolerance;
-    // The legacy run above exercises the same batched kernels as the
-    // service; additionally gate against the scalar per-point path
-    // (batch width 1) so the batched solve itself is cross-checked.
-    std::vector<core::Params> pts;
-    pts.reserve(run->evals.size());
-    for (std::size_t i = result.range.begin; i < result.range.end; ++i) {
-      pts.push_back(grid.point(spec.base, i));
-    }
-    const auto scalar = engine.evaluate(pts, 1);
-    double max_scalar = 0.0;
-    for (std::size_t i = 0; i < run->evals.size(); ++i) {
-      max_scalar =
-          std::max(max_scalar, eval_rel_diff(run->evals[i], scalar[i]));
-    }
-    std::printf("parity analytic (scalar batch=1 path):     max rel diff "
-                "%.3e (tolerance %.0e) -> %s\n",
-                max_scalar, tolerance,
-                max_scalar <= tolerance ? "ok" : "FAIL");
-    ok = ok && max_scalar <= tolerance;
-  }
-  if (const auto* run =
-          models_legacy ? result.find(core::BackendKind::Des) : nullptr) {
-    const auto legacy_result = engine.run_mc(grid, spec.base, spec.mc);
-    std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < run->mc.size(); ++i) {
-      if (!mc_bitwise_equal(run->mc[i],
-                            legacy_result.points[result.range.begin + i].mc)) {
-        ++mismatches;
+  if (const auto* run = result.find(core::BackendKind::Analytic)) {
+    if (spec.base.time_varying()) {
+      std::printf("parity analytic (scalar batch=1 path):     skipped — "
+                  "the spec is time-varying\n");
+    } else {
+      // The service ran the batched kernels; gate them against the
+      // scalar per-point path (batch width 1).
+      std::vector<core::Params> pts;
+      pts.reserve(run->evals.size());
+      for (std::size_t i = result.range.begin; i < result.range.end; ++i) {
+        pts.push_back(grid.point(spec.base, i));
       }
+      core::SweepEngine engine;
+      const auto scalar = engine.evaluate(pts, 1);
+      double max_scalar = 0.0;
+      for (std::size_t i = 0; i < run->evals.size(); ++i) {
+        max_scalar =
+            std::max(max_scalar, eval_rel_diff(run->evals[i], scalar[i]));
+      }
+      std::printf("parity analytic (scalar batch=1 path):     max rel diff "
+                  "%.3e (tolerance %.0e) -> %s\n",
+                  max_scalar, tolerance,
+                  max_scalar <= tolerance ? "ok" : "FAIL");
+      ok = ok && max_scalar <= tolerance;
     }
-    std::printf("parity DES (SweepEngine::run_mc):          %zu/%zu points "
-                "bitwise -> %s\n",
-                run->mc.size() - mismatches, run->mc.size(),
-                mismatches == 0 ? "ok" : "FAIL");
-    ok = ok && mismatches == 0;
   }
   {
     // Plugin-path parity: the detector/attacker model descriptors must
@@ -267,11 +267,11 @@ bool parity_check(const core::ExperimentSpec& spec,
     }
     sim::McOptions mc = spec.mc;
     mc.point_stream_offset += result.range.begin;
-    sim::MonteCarloEngine legacy(mc);
-    const auto legacy_mc = legacy.run_protocol(points);
+    sim::MonteCarloEngine direct(mc);
+    const auto direct_mc = direct.run_protocol(points);
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < run->mc.size(); ++i) {
-      if (!mc_bitwise_equal(run->mc[i], legacy_mc[i])) ++mismatches;
+      if (!mc_bitwise_equal(run->mc[i], direct_mc[i])) ++mismatches;
     }
     std::printf("parity protocol (MonteCarloEngine):        %zu/%zu points "
                 "bitwise -> %s\n",
@@ -280,6 +280,91 @@ bool parity_check(const core::ExperimentSpec& spec,
     ok = ok && mismatches == 0;
   }
   return ok;
+}
+
+/// Parses --shard "i/n" into spec.shard with the --policy split.
+void select_shard(core::ExperimentSpec& spec, const std::string& shard,
+                  const std::string& policy) {
+  using Policy = core::ShardSpec::Policy;
+  if (spec.shard.policy != Policy::All) {
+    throw std::invalid_argument(
+        "--shard: the spec already selects shard " +
+        std::to_string(spec.shard.shard_index) + "/" +
+        std::to_string(spec.shard.num_shards) + " (policy " +
+        to_string(spec.shard.policy) + ")");
+  }
+  std::size_t index = 0, count = 0;
+  char extra = 0;
+  if (std::sscanf(shard.c_str(), "%zu/%zu%c", &index, &count, &extra) != 2 ||
+      count == 0 || index >= count) {
+    throw std::invalid_argument("--shard '" + shard +
+                                "' is not i/n with 0 <= i < n");
+  }
+  const std::string name = policy.empty() ? "contiguous" : policy;
+  for (const Policy p :
+       {Policy::Contiguous, Policy::ByStructure, Policy::ByPilotCost}) {
+    if (to_string(p) == name) spec.shard.policy = p;
+  }
+  if (spec.shard.policy == Policy::All) {
+    throw std::invalid_argument("--policy '" + name +
+                                "' is not one of contiguous | by_structure "
+                                "| by_pilot_cost");
+  }
+  spec.shard.num_shards = count;
+  spec.shard.shard_index = index;
+}
+
+/// --merge: recombines shard result files, reports the achieved load
+/// balance (the pilot-cost plans exist to shrink it) and, with
+/// --parity-check, gates the merge against a single-process rerun.
+int merge_results(const util::Cli& cli) {
+  std::vector<core::ExperimentResult> parts;
+  std::istringstream paths(cli.get_string("merge"));
+  for (std::string path; std::getline(paths, path, ',');) {
+    if (path.empty()) continue;
+    parts.push_back(
+        core::ExperimentResult::from_json(util::read_json_file(path)));
+  }
+  const auto merged = core::merge_experiment_results(parts);
+  const core::GridSpec grid = merged.spec.grid();
+  std::printf("run_experiment: merged %zu shard(s) of %s (%s), %zu grid "
+              "point(s), policy %s\n",
+              parts.size(), merged.spec.name.c_str(),
+              merged.spec.mode.c_str(), grid.num_points(),
+              merged.shard_policy.c_str());
+  double slowest = 0.0;
+  double fastest = std::numeric_limits<double>::infinity();
+  for (const auto& part : parts) {
+    double seconds = 0.0;
+    for (const auto& run : part.backends) seconds += run.seconds;
+    slowest = std::max(slowest, seconds);
+    fastest = std::min(fastest, seconds);
+    std::printf("  shard %zu: points [%zu, %zu), %.2f s\n", part.shard_index,
+                part.range.begin, part.range.end, seconds);
+  }
+  std::printf("  load balance: slowest/fastest shard = %.2fx\n\n",
+              fastest > 0.0 ? slowest / fastest
+                            : std::numeric_limits<double>::infinity());
+  print_points(merged.spec, grid, merged);
+
+  bool ok = true;
+  if (cli.get_int("parity-check") != 0) {
+    core::ExperimentServiceOptions opts;
+    opts.threads = static_cast<std::size_t>(cli.get_int("threads"));
+    core::ExperimentService service(opts);
+    const auto single = service.run(merged.spec);
+    ok = single.canonical_json().at("backends").dump() ==
+         merged.canonical_json().at("backends").dump();
+    std::printf("\nparity merge (single-process rerun):       backends %s "
+                "-> %s\n",
+                ok ? "bytes equal" : "BYTES DIFFER", ok ? "ok" : "FAIL");
+  }
+  const std::string out = cli.get_string("out");
+  if (!out.empty()) {
+    util::write_json_file(out, merged.to_json());
+    std::printf("\nresult written: %s\n", out.c_str());
+  }
+  return ok ? 0 : 1;
 }
 
 }  // namespace
@@ -302,10 +387,18 @@ int main(int argc, char** argv) {
            "fail unless the parsed spec re-serialises to the input file "
            "byte-for-byte (0|1)");
   cli.flag("parity-check", 0,
-           "re-answer through the legacy SweepEngine/MonteCarloEngine "
-           "entry points and gate equality (0|1)");
+           "re-answer along independent paths (with --merge: one "
+           "single-process rerun) and gate equality (0|1)");
   cli.flag("tolerance", 1e-12,
            "max relative analytic difference tolerated by --parity-check");
+  cli.flag("shard", std::string(""),
+           "answer only shard i of n of the spec's grid, as i/n");
+  cli.flag("policy", std::string(""),
+           "--shard split: contiguous (default) | by_structure | "
+           "by_pilot_cost");
+  cli.flag("merge", std::string(""),
+           "comma-separated shard result files to merge instead of "
+           "running a spec");
 
   try {
     if (!cli.parse(argc, argv)) return 0;
@@ -318,11 +411,25 @@ int main(int argc, char** argv) {
 
     const std::string spec_path = cli.get_string("spec");
     const std::string preset = cli.get_string("preset");
-    if (spec_path.empty() == preset.empty()) {
+    const std::string shard = cli.get_string("shard");
+    const bool merge = !cli.get_string("merge").empty();
+    if (int{!spec_path.empty()} + int{!preset.empty()} + int{merge} != 1) {
       std::fprintf(stderr,
-                   "run_experiment: exactly one of --spec or --preset is "
-                   "required\n");
+                   "run_experiment: exactly one of --spec, --preset or "
+                   "--merge is required\n");
       return 1;
+    }
+    if (shard.empty() && !cli.get_string("policy").empty()) {
+      std::fprintf(stderr, "run_experiment: --policy needs --shard\n");
+      return 1;
+    }
+    if (merge) {
+      if (!shard.empty()) {
+        std::fprintf(stderr,
+                     "run_experiment: --merge takes no --shard\n");
+        return 1;
+      }
+      return merge_results(cli);
     }
 
     core::ExperimentSpec spec;
@@ -345,6 +452,7 @@ int main(int argc, char** argv) {
     } else {
       spec = core::experiment_preset(preset, cli.get_int("smoke") != 0);
     }
+    if (!shard.empty()) select_shard(spec, shard, cli.get_string("policy"));
 
     const std::string spec_out = cli.get_string("spec-out");
     if (!spec_out.empty()) {
