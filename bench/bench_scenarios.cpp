@@ -11,17 +11,61 @@
 // entries record wall clock + convergence only, which is exactly the
 // routing the spec validator enforces.
 //
+// A single-thread probe then times GroupSimulator::step per detector
+// model at the detector_matrix base and gates each model's ns/event
+// against static's, measured in the same process: cusum <= 2x (its
+// rates come from two voting tables), entropy and logistic <= 5x (they
+// evaluate Equation 1 per event).  A ratio, not an absolute time, so
+// the gate holds on any host.
+//
 // Writes BENCH_scenarios.json.  `--smoke` thins the TIDS axis for CI.
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
+#include "sim/des.h"
+#include "sim/rng.h"
 #include "util/stopwatch.h"
 
 namespace {
 
 using namespace midas;
+
+/// Events timed per detector per pass, and passes; the best pass
+/// counts, and passes interleave the detectors, so a slow spell of the
+/// host does not land on one model alone.
+constexpr std::size_t kProbeEvents = 200000;
+constexpr int kProbePasses = 5;
+
+/// Single-thread ns per GroupSimulator::step for each point, over whole
+/// trajectories (seeds 0, 1, ... of the preset's base seed) until at
+/// least kProbeEvents events have run.
+std::vector<double> ns_per_event(const std::vector<core::Params>& points,
+                                 std::uint64_t base_seed) {
+  std::vector<sim::DesContext> contexts(points.begin(), points.end());
+  std::vector<double> best(points.size(),
+                           std::numeric_limits<double>::infinity());
+  for (int pass = 0; pass < kProbePasses; ++pass) {
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      std::size_t events = 0;
+      const util::Stopwatch watch;
+      for (std::uint64_t rep = 0; events < kProbeEvents; ++rep) {
+        sim::UniformStream draw(sim::derive_seed(base_seed, rep));
+        sim::GroupSimulator simulator(points[i], contexts[i]);
+        do {
+          ++events;
+        } while (simulator.step(draw) == sim::GroupSimulator::Status::Running);
+      }
+      best[i] = std::min(best[i], 1e9 * watch.seconds() /
+                                      static_cast<double>(events));
+    }
+  }
+  return best;
+}
 
 /// The preset's model axis narrowed to ONE level: everything else
 /// (TIDS axis, MC schedule, backends) stays the preset's, so a
@@ -111,6 +155,50 @@ int main(int argc, char** argv) {
     entries.push_back(std::move(entry));
   }
 
+  // --- Per-event cost of each detector model, relative to static.
+  const auto matrix = core::experiment_preset("detector_matrix", true);
+  const auto grid = matrix.grid();
+  const auto& levels = matrix.axes[0].levels;
+  std::vector<core::Params> probe_points;
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    probe_points.push_back(grid.point(matrix.base, i));
+  }
+  const auto ns = ns_per_event(probe_points, matrix.mc.base_seed);
+  auto per_event = util::Json::array();
+  util::Table probe_table({"detector", "ns/event", "x static", "ceiling"});
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    const auto kind = probe_points[i].detector.kind;
+    const double ratio = ns[i] / ns[0];  // the preset lists static first
+    const double ceiling = kind == ids::DetectorKind::Cusum    ? 2.0
+                           : kind == ids::DetectorKind::Static ? 1.0
+                                                               : 5.0;
+    const bool pass = ratio <= ceiling;
+    ok = ok && pass;
+    auto entry = util::Json::object();
+    entry.set("detector", util::Json(std::string(ids::to_string(kind))));
+    entry.set("ns_per_event", util::Json::number(ns[i]));
+    entry.set("ratio_to_static", util::Json::number(ratio));
+    entry.set("ceiling", util::Json::number(ceiling));
+    entry.set("margin", util::Json::number(ceiling - ratio));
+    entry.set("gate", util::Json(std::string(pass ? "ok" : "FAIL")));
+    per_event.push_back(std::move(entry));
+    probe_table.add_row({ids::to_string(kind), util::Table::sci(ns[i]),
+                         util::Table::sci(ratio),
+                         util::Table::sci(ceiling, 1)});
+  }
+  std::printf("--- per-event cost, one thread (best of %d passes of "
+              "%zu events)\n",
+              kProbePasses, kProbeEvents);
+  probe_table.print(std::cout);
+
+  const auto nproc = static_cast<double>(
+      std::max(std::thread::hardware_concurrency(), 1u));
+  json.set("nproc", util::Json(nproc));
+  // The scenario runs use the service default (one worker per core);
+  // the per-event probe runs on one thread.
+  json.set("threads", util::Json(nproc));
+  json.set("probe_threads", util::Json(1.0));
+  json.set("per_event", std::move(per_event));
   json.set("scenarios", std::move(entries));
   json.set("gate", util::Json(std::string(ok ? "ok" : "FAIL")));
   bench::write_artifact(json, "BENCH_scenarios.json");

@@ -5,8 +5,8 @@
 # run_experiment), the sweep-engine equivalence/speedup bench, the
 # Monte-Carlo engine bench, the two-process sharded run demo
 # (contiguous AND pilot-cost-balanced splits), the fleet soak, the
-# figure/ablation grid benches (all in smoke mode), and the micro
-# benches with a minimal measurement budget.
+# figure/ablation grid benches (all in smoke mode), the micro benches
+# with a minimal measurement budget, and UBSan and TSan test builds.
 # Leaves the BENCH_*.json artifacts in build/ for the workflow to
 # archive.
 set -euo pipefail
@@ -177,5 +177,19 @@ cmake -B build-ubsan -S . \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
 cmake --build build-ubsan -j"${JOBS}" --target midas_tests
 ./build-ubsan/midas_tests
+
+# --- TSan build-and-test: the thread paths — the Monte-Carlo engine's
+# chunked schedule (workers write disjoint sample slots that the
+# calling thread then reduces), parallel_for, the vr and splitting
+# runners, the byte goldens, and the fleet's coordinator, worker and
+# transport reader threads — rebuilt with ThreadSanitizer.  Any report
+# fails the run (halt_on_error).  Only midas_tests is built.
+cmake -B build-tsan -S . \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
+      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+cmake --build build-tsan -j"${JOBS}" --target midas_tests
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/midas_tests \
+  --gtest_filter='McEngine.*:ThreadPool.*:VrEngine.*:Splitting.*:ScenarioParity.*:Fleet.*:LeaseTable.*'
 
 echo "ci.sh: all checks passed"

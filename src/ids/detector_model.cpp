@@ -37,6 +37,12 @@ bool DetectorModel::cusum_alarmed(const DetectorState& s) const {
   return score > cusum_threshold;
 }
 
+EffectiveErrorRates DetectorModel::cusum_level(double p1, double p2,
+                                               bool alarmed) const {
+  if (!alarmed) return {clamp01(p1), clamp01(p2)};
+  return {clamp01(p1 * cusum_alarm_factor), clamp01(p2 / cusum_alarm_factor)};
+}
+
 EffectiveErrorRates DetectorModel::effective(double p1, double p2,
                                              const DetectorState& s) const {
   switch (kind) {
@@ -49,11 +55,8 @@ EffectiveErrorRates DetectorModel::effective(double p1, double p2,
       const double w = entropy_weight * h;
       return {clamp01(p1 + w * (1.0 - p1)), clamp01(p2 + w * (1.0 - p2))};
     }
-    case DetectorKind::Cusum: {
-      if (!cusum_alarmed(s)) return {clamp01(p1), clamp01(p2)};
-      return {clamp01(p1 * cusum_alarm_factor),
-              clamp01(p2 / cusum_alarm_factor)};
-    }
+    case DetectorKind::Cusum:
+      return cusum_level(p1, p2, cusum_alarmed(s));
     case DetectorKind::Logistic: {
       const double q = sigmoid(logistic_bias +
                                logistic_compromise_weight *

@@ -85,6 +85,12 @@ struct DetectorModel {
   /// CUSUM alarm predicate (exposed for tests / instrumentation).
   [[nodiscard]] bool cusum_alarmed(const DetectorState& s) const;
 
+  /// Cusum's effective (p1,p2) when off or alarmed — the only two
+  /// values effective() can return for it, so callers may tabulate
+  /// Equation 1 at both and select by cusum_alarmed().
+  [[nodiscard]] EffectiveErrorRates cusum_level(double p1, double p2,
+                                                bool alarmed) const;
+
   /// True when effective() can depend on the state at all.
   [[nodiscard]] bool state_dependent() const noexcept {
     return kind != DetectorKind::Static;

@@ -8,7 +8,8 @@
 
 namespace midas::linalg {
 
-/// ln(n!) via lgamma; exact for the integer arguments we use.
+/// ln(n!) via lgamma; exact for the integer arguments we use.  Read
+/// from a table of the same lgamma values for n < 4096.
 [[nodiscard]] double log_factorial(std::int64_t n);
 
 /// ln C(n, k); returns -inf when the coefficient is zero (k < 0 or k > n).

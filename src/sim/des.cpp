@@ -23,55 +23,78 @@ std::int64_t per_group(std::int64_t total, std::int64_t groups) {
       static_cast<double>(total) / static_cast<double>(groups)));
 }
 
+/// The effective (p1, p2) a detector takes within one constant segment,
+/// when that set is finite: static keeps the base constants, cusum
+/// switches between off and alarmed.  Empty for entropy and logistic.
+std::vector<ids::EffectiveErrorRates> rate_levels(
+    const ids::DetectorModel& detector, const core::Params& seg) {
+  switch (detector.kind) {
+    case ids::DetectorKind::Static:
+      return {{seg.p1, seg.p2}};
+    case ids::DetectorKind::Cusum:
+      return {detector.cusum_level(seg.p1, seg.p2, false),
+              detector.cusum_level(seg.p1, seg.p2, true)};
+    default:
+      return {};
+  }
+}
+
 }  // namespace
 
-DesContext::DesContext(std::shared_ptr<const ids::VotingTable> v,
-                       gcs::CostModel c)
-    : voting(std::move(v)), cost(std::move(c)) {}
+DesContext::DesContext(const core::Params& params, TableFn table)
+    : cost(params.cost) {
+  // Mission phases and schedules override neither m nor N, so every
+  // segment's tables share the base (m, N) and differ only in (p1, p2).
+  auto add_segment = [&](const core::Params& seg) {
+    auto& row = voting.emplace_back();
+    for (const auto& eff : rate_levels(params.detector, seg)) {
+      row.push_back(table(ids::VotingParams{params.num_voters, eff.p1, eff.p2},
+                          params.n_init, params.n_init));
+    }
+  };
+  if (!params.time_varying()) {
+    add_segment(params);
+    return;
+  }
+  for (const auto& seg : core::resolve_timeline(params)) {
+    add_segment(seg.params);
+  }
+}
 
 DesContext::DesContext(const core::Params& params)
-    : DesContext(ids::shared_voting_table(
-                     ids::VotingParams{params.num_voters, params.p1,
-                                       params.p2},
-                     params.n_init, params.n_init),
-                 gcs::CostModel(params.cost)) {}
+    : DesContext(params, &ids::shared_voting_table) {}
 
 DesContext DesContext::fresh(const core::Params& params) {
-  return DesContext(
-      std::make_shared<const ids::VotingTable>(
-          ids::VotingParams{params.num_voters, params.p1, params.p2},
-          params.n_init, params.n_init),
-      gcs::CostModel(params.cost));
+  return DesContext(params,
+                    [](const ids::VotingParams& vp, std::int64_t max_good,
+                       std::int64_t max_bad) {
+                      return std::make_shared<const ids::VotingTable>(
+                          vp, max_good, max_bad);
+                    });
 }
 
 GroupSimulator::GroupSimulator(const core::Params& params,
                                const DesContext& context)
-    : params_(&params), cost_(&context.cost) {
+    : params_(&params), context_(&context) {
   params.validate();
 
   // Time-varying rates: resolve the schedule/mission into constant
   // segments and treat each breakpoint as a rate-change event.  The
   // constant case keeps `cur_` pointing at `params` itself and the
   // boundary at infinity, so every read below is bitwise the legacy
-  // one and the truncation branch never fires.  Per-segment voting
-  // tables come from the shared memo (identity segments re-use the
-  // context's table allocation-free for bitwise-equal (m, p1, p2)).
+  // one and the truncation branch never fires.  The context holds the
+  // voting tables of every segment.
   timed_ = params.time_varying();
   cur_ = &params;
-  voting_ = context.voting.get();
   next_boundary_ = std::numeric_limits<double>::infinity();
   if (timed_) {
     timeline_ = core::resolve_timeline(params);
-    segment_voting_.reserve(timeline_.size());
-    for (const auto& seg : timeline_) {
-      segment_voting_.push_back(ids::shared_voting_table(
-          ids::VotingParams{seg.params.num_voters, seg.params.p1,
-                            seg.params.p2},
-          seg.params.n_init, seg.params.n_init));
-    }
     cur_ = &timeline_[0].params;
-    voting_ = segment_voting_[0].get();
     if (timeline_.size() > 1) next_boundary_ = timeline_[1].start_s;
+  }
+  if (context.voting.size() != (timed_ ? timeline_.size() : 1)) {
+    throw std::invalid_argument(
+        "GroupSimulator: context was built from different params");
   }
 
   s_.tm = params.n_init;
@@ -81,7 +104,6 @@ GroupSimulator::GroupSimulator(const core::Params& params,
   // r_phase > 0.0 — so poisson trajectories consume the exact legacy
   // draw sequence.
   atk_on_ = true;
-  static_detector_ = params.detector.kind == ids::DetectorKind::Static;
 }
 
 std::int64_t GroupSimulator::compromised() const noexcept { return s_.ucm; }
@@ -117,7 +139,6 @@ void GroupSimulator::restore(const Snapshot& snap) {
   seg_idx_ = snap.seg_idx;
   if (timed_) {
     cur_ = &timeline_[seg_idx_].params;
-    voting_ = segment_voting_[seg_idx_].get();
     next_boundary_ = seg_idx_ + 1 < timeline_.size()
                          ? timeline_[seg_idx_ + 1].start_s
                          : std::numeric_limits<double>::infinity();
@@ -129,7 +150,7 @@ GroupSimulator::Status GroupSimulator::step(RandomSource& draw) {
     throw std::logic_error("GroupSimulator::step: already absorbed");
   }
   const core::Params& params = *params_;
-  const gcs::CostModel& cost = *cost_;
+  const gcs::CostModel& cost = context_->cost;
 
   if (c2_failed()) {
     traj_.ttsf = now_;
@@ -173,22 +194,32 @@ GroupSimulator::Status GroupSimulator::step(RandomSource& draw) {
   const double r_phase = params.attacker.phase_rate(atk_on_);
   const double det = ids::detection_rate(cur_->detection_shape, cur_->t_ids,
                                          md, cur_->p_index);
-  // Static detector: effective (p1,p2) == (p1,p2), so the shared
-  // precomputed voting table applies and r_drq is the exact legacy
-  // expression.  State-dependent detectors re-evaluate Equation 1
-  // with the effective rates each event (no table can be keyed ahead
-  // of time once elapsed time enters).
-  const auto eff =
-      params.detector.effective(cur_->p1, cur_->p2, detector_state());
-  const auto rates =
-      static_detector_
-          ? voting_->at(per_group(s_.tm, s_.ng), per_group(s_.ucm, s_.ng))
-          : ids::voting_error_rates(
-                ids::VotingParams{params.num_voters, eff.p1, eff.p2},
-                per_group(s_.tm, s_.ng), per_group(s_.ucm, s_.ng));
+  // Static and cusum detectors take finitely many effective (p1,p2)
+  // per segment, so Equation 1 comes from the context's table for the
+  // current level (cusum: alarmed or not), whose key is the effective
+  // p1 that r_drq reads.  Entropy and logistic re-evaluate Equation 1
+  // with the effective rates each event.
+  const std::int64_t good = per_group(s_.tm, s_.ng);
+  const std::int64_t bad = per_group(s_.ucm, s_.ng);
+  const auto& levels = context_->voting[seg_idx_];
+  ids::VotingErrorRates rates;
+  double p1;
+  if (!levels.empty()) {
+    const bool alarmed =
+        levels.size() > 1 && params.detector.cusum_alarmed(detector_state());
+    const ids::VotingTable& table = *levels[alarmed ? 1 : 0];
+    rates = table.at(good, bad);
+    p1 = table.params().p1;
+  } else {
+    const auto eff =
+        params.detector.effective(cur_->p1, cur_->p2, detector_state());
+    rates = ids::voting_error_rates(
+        ids::VotingParams{params.num_voters, eff.p1, eff.p2}, good, bad);
+    p1 = eff.p1;
+  }
   const double r_ids = static_cast<double>(s_.ucm) * det * (1.0 - rates.pfn);
   const double r_fa = static_cast<double>(s_.tm) * det * rates.pfp;
-  const double r_drq = eff.p1 * cur_->lambda_q * static_cast<double>(s_.ucm);
+  const double r_drq = p1 * cur_->lambda_q * static_cast<double>(s_.ucm);
 
   double r_par = 0.0, r_mer = 0.0;
   if (params.max_groups > 1) {
@@ -233,7 +264,6 @@ GroupSimulator::Status GroupSimulator::step(RandomSource& draw) {
     now_ = next_boundary_;
     ++seg_idx_;
     cur_ = &timeline_[seg_idx_].params;
-    voting_ = segment_voting_[seg_idx_].get();
     next_boundary_ = seg_idx_ + 1 < timeline_.size()
                          ? timeline_[seg_idx_ + 1].start_s
                          : std::numeric_limits<double>::infinity();

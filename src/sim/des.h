@@ -45,7 +45,7 @@ struct Trajectory {
 };
 
 /// Immutable per-parameter-point context shared by every replication of
-/// that point: the O(N²) voting table and the cost model.  Building
+/// that point: the O(N²) voting tables and the cost model.  Building
 /// these once per point instead of once per trajectory is the DES
 /// analog of the sweep engine's shared exploration — at the validation
 /// population the table build costs as much as a whole trajectory.
@@ -55,16 +55,24 @@ struct DesContext {
   /// table across the entire grid.
   explicit DesContext(const core::Params& params);
 
-  /// Seed-era behaviour: a private table built from scratch (no memo).
+  /// Seed-era behaviour: private tables built from scratch (no memo).
   /// Kept for the benchmark baseline.
   [[nodiscard]] static DesContext fresh(const core::Params& params);
 
-  std::shared_ptr<const ids::VotingTable> voting;
+  /// Equation 1 tabulated per timeline segment (one segment for
+  /// constant params) and per detector level: static has one level,
+  /// its base (p1, p2); cusum two, off and alarmed
+  /// (DetectorModel::cusum_level).  Each table's params() is the
+  /// effective (m, p1, p2) it was built for.  Empty rows for entropy
+  /// and logistic, whose rates vary continuously: the DES evaluates
+  /// Equation 1 directly for them.
+  std::vector<std::vector<std::shared_ptr<const ids::VotingTable>>> voting;
   gcs::CostModel cost;
 
  private:
-  DesContext(std::shared_ptr<const ids::VotingTable> v,
-             gcs::CostModel c);
+  using TableFn = std::shared_ptr<const ids::VotingTable> (*)(
+      const ids::VotingParams&, std::int64_t, std::int64_t);
+  DesContext(const core::Params& params, TableFn table);
 };
 
 /// Step-wise form of the group DES — the same Gillespie loop as
@@ -79,9 +87,9 @@ class GroupSimulator {
  public:
   enum class Status { Running, FailedC1, FailedC2 };
 
-  /// Resolves the timeline/voting tables once; `context` must be built
-  /// from the same params.  Throws like simulate_group on invalid
-  /// params.
+  /// Resolves the timeline once; `context` must be built from the
+  /// same params and outlive the simulator.  Throws like
+  /// simulate_group on invalid params.
   GroupSimulator(const core::Params& params, const DesContext& context);
 
   /// Advances by one Gillespie iteration (one event, or one
@@ -131,14 +139,11 @@ class GroupSimulator {
   [[nodiscard]] bool c2_failed() const;
 
   const core::Params* params_;
-  const gcs::CostModel* cost_;
+  const DesContext* context_;
   bool timed_ = false;
-  bool static_detector_ = true;
   std::vector<core::TimelineSegment> timeline_;
-  std::vector<std::shared_ptr<const ids::VotingTable>> segment_voting_;
   std::size_t seg_idx_ = 0;
   const core::Params* cur_;
-  const ids::VotingTable* voting_;
   double next_boundary_ = 0.0;
 
   State s_;

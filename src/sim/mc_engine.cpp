@@ -50,6 +50,15 @@ struct Item {
   std::size_t count = 0;
 };
 
+/// Replications per parallel work unit: small enough that a round's
+/// costly items (a cusum block beside static ones) spread over every
+/// worker instead of leaving one straggler.
+constexpr std::size_t kChunkReps = 4;
+
+/// Replications in flight at once.  A larger round runs in waves, so
+/// the stored samples stay bounded whatever the budget.
+constexpr std::size_t kWindowReps = 4096;
+
 bool within_target(const Welford& w, double rel_target) {
   // One replication has a degenerate zero-width CI — never "converged".
   if (w.count() < 2) return false;
@@ -109,6 +118,36 @@ std::vector<McPointResult> MonteCarloEngine::run_grid(
   };
   std::vector<PointState> state(num_points, PointState(horizons));
 
+  // Trajectory-level statistics (failure split, survival indicators,
+  // capture) accumulate per trajectory regardless of pairing; only the
+  // Welford samples are pair-averaged.
+  const auto record = [&](Accum& acc, const Sample& s) {
+    ++acc.num_trajectories;
+    if (s.traj.failed_by_c1) ++acc.c1;
+    if (s.timed_out) ++acc.timeouts;
+    acc.keys_ok = acc.keys_ok && s.keys_ok;
+    for (std::size_t h = 0; h < horizons; ++h) {
+      if (s.traj.ttsf > opts_.survival_horizons[h]) ++acc.survival[h];
+    }
+    if (opts_.capture_trajectories) acc.trajectories.push_back(s.traj);
+  };
+  // One replication: a sample `s`, or an antithetic pair (s, *t).
+  const auto accumulate = [&](Accum& acc, const Sample& s, const Sample* t) {
+    record(acc, s);
+    if (t == nullptr) {
+      acc.ttsf.push(s.traj.ttsf);
+      acc.cost_rate.push(s.traj.mean_cost_rate());
+      return;
+    }
+    // The pair's flipped member shares the seed; one Welford sample per
+    // pair keeps the CI (and the stopping rule) honest about the
+    // negative within-pair correlation.
+    record(acc, *t);
+    acc.ttsf.push(0.5 * (s.traj.ttsf + t->traj.ttsf));
+    acc.cost_rate.push(0.5 *
+                       (s.traj.mean_cost_rate() + t->traj.mean_cost_rate()));
+  };
+
   while (true) {
     // Schedule the next batch for every unconverged point.  The first
     // round runs min_replications; later rounds grow toward the
@@ -142,60 +181,69 @@ std::vector<McPointResult> MonteCarloEngine::run_grid(
     }
     if (items.empty()) break;
 
-    // One unified schedule over every (point, block) item of the round.
-    std::vector<Accum> partial(items.size(), Accum(horizons));
-    parallel_for(
-        items.size(),
-        [&](std::size_t i) {
-          const Item& item = items[i];
-          Accum& acc = partial[i];
-          if (opts_.capture_trajectories) {
-            acc.trajectories.reserve(item.count *
-                                     (opts_.antithetic ? 2 : 1));
-          }
-          // Trajectory-level statistics (failure split, survival
-          // indicators, capture) accumulate per trajectory regardless
-          // of pairing; only the Welford samples are pair-averaged.
-          auto record = [&](const Sample& s) {
-            ++acc.num_trajectories;
-            if (s.traj.failed_by_c1) ++acc.c1;
-            if (s.timed_out) ++acc.timeouts;
-            acc.keys_ok = acc.keys_ok && s.keys_ok;
-            for (std::size_t h = 0; h < horizons; ++h) {
-              if (s.traj.ttsf > opts_.survival_horizons[h]) {
-                ++acc.survival[h];
-              }
+    // One schedule over every (point, block) item of the round, cut
+    // into waves of at most kWindowReps replications in schedule
+    // order.  A wave runs as fixed chunks of kChunkReps replications
+    // on the pool, each writing its samples into its own slots; then
+    // the wave's samples accumulate serially in replication order,
+    // item by item, and each finished item merges into its point in
+    // schedule order.  So every Welford sees the same pushes and
+    // merges as a serial run, whatever the chunking or thread count,
+    // and captured trajectories land in replication order.
+    const std::size_t per_rep = opts_.antithetic ? 2 : 1;
+    struct Chunk {
+      std::size_t item = 0;
+      std::size_t first_rep = 0;
+      std::size_t count = 0;
+      std::size_t slot = 0;  // first sample slot of the chunk
+    };
+    std::vector<Chunk> chunks;
+    std::vector<Sample> slots;
+    Accum acc(horizons);  // the current item's block accumulator
+    std::size_t next_item = 0, next_offset = 0;
+    while (next_item < items.size()) {
+      chunks.clear();
+      std::size_t reps = 0;
+      while (next_item < items.size() && reps < kWindowReps) {
+        const Item& item = items[next_item];
+        const std::size_t n = std::min(
+            {kChunkReps, item.count - next_offset, kWindowReps - reps});
+        chunks.push_back(
+            {next_item, item.first_rep + next_offset, n, reps * per_rep});
+        reps += n;
+        next_offset += n;
+        if (next_offset == item.count) {
+          ++next_item;
+          next_offset = 0;
+        }
+      }
+      slots.resize(reps * per_rep);
+      parallel_for(
+          chunks.size(),
+          [&](std::size_t c) {
+            const Chunk& chunk = chunks[c];
+            const std::size_t point = items[chunk.item].point;
+            Sample* out = &slots[chunk.slot];
+            for (std::size_t k = 0; k < chunk.count; ++k) {
+              const std::size_t rep = chunk.first_rep + k;
+              const std::uint64_t seed = replication_seed(point, rep);
+              *out++ = sample(point, rep, seed, false);
+              if (opts_.antithetic) *out++ = sample(point, rep, seed, true);
             }
-            if (opts_.capture_trajectories) {
-              acc.trajectories.push_back(s.traj);
-            }
-          };
-          for (std::size_t k = 0; k < item.count; ++k) {
-            const std::size_t rep = item.first_rep + k;
-            const std::uint64_t seed = replication_seed(item.point, rep);
-            const Sample s = sample(item.point, rep, seed, false);
-            record(s);
-            if (!opts_.antithetic) {
-              acc.ttsf.push(s.traj.ttsf);
-              acc.cost_rate.push(s.traj.mean_cost_rate());
-              continue;
-            }
-            // The pair's flipped member shares the seed; one Welford
-            // sample per pair keeps the CI (and the stopping rule)
-            // honest about the negative within-pair correlation.
-            const Sample t = sample(item.point, rep, seed, true);
-            record(t);
-            acc.ttsf.push(0.5 * (s.traj.ttsf + t.traj.ttsf));
-            acc.cost_rate.push(
-                0.5 * (s.traj.mean_cost_rate() + t.traj.mean_cost_rate()));
-          }
-        },
-        opts_.threads);
+          },
+          opts_.threads);
 
-    // Merge partials in schedule order (deterministic float order, and
-    // captured trajectories land in replication order).
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      state[items[i].point].accum.merge(partial[i]);
+      for (const Chunk& chunk : chunks) {
+        for (std::size_t k = 0; k < chunk.count; ++k) {
+          const Sample* s = &slots[chunk.slot + k * per_rep];
+          accumulate(acc, s[0], opts_.antithetic ? &s[1] : nullptr);
+        }
+        const Item& item = items[chunk.item];
+        if (chunk.first_rep + chunk.count == item.first_rep + item.count) {
+          state[item.point].accum.merge(acc);
+          acc = Accum(horizons);
+        }
+      }
     }
     stats_.blocks += items.size();
     ++stats_.rounds;

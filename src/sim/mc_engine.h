@@ -19,13 +19,16 @@
 //      relative target, so easy points stop early instead of paying the
 //      worst point's conservative fixed count.
 //   4. One schedule: all (point × block) work items of a round flow
-//      through a single sim::parallel_for instead of a pool per point,
-//      and per-point contexts (the O(N²) voting table, cost model) are
-//      built once per point — not once per trajectory as the seed did.
+//      through a single sim::parallel_for, cut into small fixed chunks
+//      of replications so a costly point's blocks spread over every
+//      worker, and per-point contexts (the O(N²) voting tables, cost
+//      model) are built once per point — not once per trajectory as
+//      the seed did.
 //
 // Results are bitwise deterministic in (options, grid): seeds depend
-// only on (point, replication) indices and block partials merge in
-// schedule order, so thread count never changes a digit.
+// only on (point, replication) indices, and samples accumulate
+// serially in replication order with block partials merging in
+// schedule order, so neither chunking nor thread count changes a digit.
 #pragma once
 
 #include <cstdint>

@@ -721,4 +721,100 @@ inline constexpr const char* kGoldenRareEventSmokeBackends = R"gold(
 ]
 )gold";
 
+// detector_matrix --smoke: DES-only payloads for the four detector
+// models (static, entropy, cusum, logistic) at TIDS = 120 s.  The only
+// golden that covers the state-dependent detector paths of the DES
+// (per-event effective error rates, the cusum alarm levels).  Captured
+// at commit b45ce5f, before the voting kernel and the cusum rate tables
+// were rewritten.
+inline constexpr const char* kGoldenDetectorMatrixSmokeBackends = R"gold(
+[
+  {
+    "backend": "des",
+    "seconds": 0,
+    "mc": [
+      {
+        "ttsf": {
+          "n": 128,
+          "mean": 1899350.564857532,
+          "m2": 83276129291202.188
+        },
+        "cost_rate": {
+          "n": 128,
+          "mean": 211927.16429643321,
+          "m2": 390992947410.04987
+        },
+        "replications": 256,
+        "failures_c1": 137,
+        "converged": true,
+        "keys_always_agreed": true,
+        "timeouts": 0,
+        "survival_counts": []
+      },
+      {
+        "ttsf": {
+          "n": 222,
+          "mean": 533561.51587355044,
+          "m2": 29982544101400.895
+        },
+        "cost_rate": {
+          "n": 222,
+          "mean": 304879.93566378177,
+          "m2": 279411581565.29553
+        },
+        "replications": 444,
+        "failures_c1": 433,
+        "converged": true,
+        "keys_always_agreed": true,
+        "timeouts": 0,
+        "survival_counts": []
+      },
+      {
+        "ttsf": {
+          "n": 128,
+          "mean": 1899350.564857532,
+          "m2": 83276129291202.188
+        },
+        "cost_rate": {
+          "n": 128,
+          "mean": 211927.16429643321,
+          "m2": 390992947410.04987
+        },
+        "replications": 256,
+        "failures_c1": 137,
+        "converged": true,
+        "keys_always_agreed": true,
+        "timeouts": 0,
+        "survival_counts": []
+      },
+      {
+        "ttsf": {
+          "n": 128,
+          "mean": 73818.401402071031,
+          "m2": 168393927719.13791
+        },
+        "cost_rate": {
+          "n": 128,
+          "mean": 140648.62914966367,
+          "m2": 265899204392.15134
+        },
+        "replications": 256,
+        "failures_c1": 2,
+        "converged": true,
+        "keys_always_agreed": true,
+        "timeouts": 0,
+        "survival_counts": []
+      }
+    ],
+    "mc_stats": {
+      "points": 4,
+      "replications": 1212,
+      "blocks": 10,
+      "rounds": 0,
+      "seconds": 0
+    }
+  }
+]
+)gold";
+
 }  // namespace midas::testing

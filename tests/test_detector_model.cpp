@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <stdexcept>
 #include <string>
+
+#include "core/params.h"
+#include "sim/des.h"
 
 namespace {
 
@@ -126,6 +130,38 @@ TEST(DetectorModel, CusumAlarmClampsToUnitInterval) {
 }
 
 // --- Logistic: suspicion monotone in compromise fraction and time.
+
+TEST(DetectorModel, CusumEffectiveRatesTakeExactlyTwoValues) {
+  // The DES tabulates Equation 1 at cusum's two levels and selects by
+  // the alarm predicate, so effective() must only ever return the two
+  // table keys, bit for bit.
+  midas::core::Params params = midas::core::Params::paper_defaults();
+  params.detector.kind = DetectorKind::Cusum;
+  params.p1 = 0.0123456789012345678;
+  params.p2 = 0.0345678901234567891;
+  const midas::sim::DesContext context(params);
+  ASSERT_EQ(context.voting.size(), 1u);
+  ASSERT_EQ(context.voting[0].size(), 2u);
+  const auto& off = context.voting[0][0]->params();
+  const auto& alarmed = context.voting[0][1]->params();
+  EXPECT_NE(off.p1, alarmed.p1);
+
+  std::mt19937_64 rng(7);
+  std::uniform_int_distribution<std::int64_t> count(0, params.n_init);
+  std::uniform_real_distribution<double> elapsed(0.0, 1e6);
+  std::size_t hits[2] = {0, 0};
+  for (int i = 0; i < 2000; ++i) {
+    const auto s = state(count(rng), count(rng), count(rng), elapsed(rng));
+    const bool on = params.detector.cusum_alarmed(s);
+    const auto& key = on ? alarmed : off;
+    const auto eff = params.detector.effective(params.p1, params.p2, s);
+    EXPECT_EQ(eff.p1, key.p1) << i;
+    EXPECT_EQ(eff.p2, key.p2) << i;
+    ++hits[on ? 1 : 0];
+  }
+  EXPECT_GT(hits[0], 0u);
+  EXPECT_GT(hits[1], 0u);
+}
 
 TEST(DetectorModel, LogisticSuspicionMonotone) {
   DetectorModel model;

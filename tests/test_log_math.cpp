@@ -1,6 +1,8 @@
 #include "linalg/log_math.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -75,6 +77,40 @@ TEST(LogMath, TailMatchesDirectSum) {
     double direct = 0.0;
     for (int j = k; j <= n; ++j) direct += binomial_pmf(n, j, p);
     EXPECT_NEAR(binomial_tail_geq(n, k, p), direct, 1e-11) << "k=" << k;
+  }
+}
+
+TEST(LogMath, FactorialTableMatchesLgammaBitwise) {
+  // The table covers n < 4096; the range runs past its edge so the
+  // lgamma fallback is checked too.
+  for (std::int64_t n = 0; n <= 4096 + 16; ++n) {
+    EXPECT_EQ(log_factorial(n), std::lgamma(static_cast<double>(n) + 1.0))
+        << "n=" << n;
+  }
+}
+
+/// The tail as a plain per-term binomial_pmf sum: the smaller tail,
+/// clamped, with no hoisted logarithms.
+double per_term_tail(std::int64_t n, std::int64_t k, double p) {
+  if (k <= 0) return 1.0;
+  if (k > n) return 0.0;
+  double acc = 0.0;
+  if (static_cast<double>(k) > static_cast<double>(n) * p) {
+    for (std::int64_t j = k; j <= n; ++j) acc += binomial_pmf(n, j, p);
+    return std::min(acc, 1.0);
+  }
+  for (std::int64_t j = 0; j < k; ++j) acc += binomial_pmf(n, j, p);
+  return std::max(0.0, 1.0 - acc);
+}
+
+TEST(LogMath, TailMatchesPerTermSumBitwise) {
+  for (const double p : {0.0, 1e-300, 0.01, 0.5, 0.99, 1.0}) {
+    for (std::int64_t n = 0; n <= 40; ++n) {
+      for (std::int64_t k = -1; k <= n + 1; ++k) {
+        EXPECT_EQ(binomial_tail_geq(n, k, p), per_term_tail(n, k, p))
+            << "n=" << n << " k=" << k << " p=" << p;
+      }
+    }
   }
 }
 

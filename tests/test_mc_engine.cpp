@@ -175,6 +175,103 @@ TEST(McEngine, DeterministicAcrossThreadCounts) {
   }
 }
 
+/// Every accumulated byte of two grid results: Welford states, counts,
+/// survival counters and captured trajectories.
+void expect_bitwise_equal(const std::vector<sim::McPointResult>& a,
+                          const std::vector<sim::McPointResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].ttsf_state.n, b[i].ttsf_state.n) << i;
+    EXPECT_EQ(a[i].ttsf_state.mean, b[i].ttsf_state.mean) << i;
+    EXPECT_EQ(a[i].ttsf_state.m2, b[i].ttsf_state.m2) << i;
+    EXPECT_EQ(a[i].cost_rate_state.n, b[i].cost_rate_state.n) << i;
+    EXPECT_EQ(a[i].cost_rate_state.mean, b[i].cost_rate_state.mean) << i;
+    EXPECT_EQ(a[i].cost_rate_state.m2, b[i].cost_rate_state.m2) << i;
+    EXPECT_EQ(a[i].replications, b[i].replications) << i;
+    EXPECT_EQ(a[i].failures_c1, b[i].failures_c1) << i;
+    EXPECT_EQ(a[i].converged, b[i].converged) << i;
+    EXPECT_EQ(a[i].survival_counts, b[i].survival_counts) << i;
+    ASSERT_EQ(a[i].trajectories.size(), b[i].trajectories.size()) << i;
+    for (std::size_t k = 0; k < a[i].trajectories.size(); ++k) {
+      const auto& x = a[i].trajectories[k];
+      const auto& y = b[i].trajectories[k];
+      EXPECT_EQ(x.ttsf, y.ttsf) << i << "/" << k;
+      EXPECT_EQ(x.accumulated_cost, y.accumulated_cost) << i << "/" << k;
+      EXPECT_EQ(x.compromises, y.compromises) << i << "/" << k;
+    }
+  }
+}
+
+TEST(McEngine, HeterogeneousGridBitwiseAcrossThreadCounts) {
+  // Cheap static points beside costly cusum ones, with a block size
+  // that is not a multiple of the engine's chunk, antithetic pairs,
+  // capture and survival horizons all on: the chunked schedule must
+  // reproduce the one-thread bytes at any thread count.
+  std::vector<core::Params> pts;
+  for (const auto kind : {ids::DetectorKind::Static, ids::DetectorKind::Cusum}) {
+    for (const double t : {15.0, 600.0}) {
+      core::Params p = small_params();
+      p.detector.kind = kind;
+      p.t_ids = t;
+      pts.push_back(std::move(p));
+    }
+  }
+  McOptions o;
+  o.rel_ci_target = 0.15;
+  o.min_replications = 14;
+  o.block = 10;
+  o.antithetic = true;
+  o.capture_trajectories = true;
+  o.survival_horizons = {1e4, 1e5};
+  auto run = [&](std::size_t threads) {
+    McOptions opts = o;
+    opts.threads = threads;
+    MonteCarloEngine engine(opts);
+    return engine.run_des(pts);
+  };
+  const auto one = run(1);
+  for (const std::size_t threads : {2u, 3u, 7u}) {
+    SCOPED_TRACE(threads);
+    expect_bitwise_equal(one, run(threads));
+  }
+
+  // Captured trajectories sit in replication order: pair r holds the
+  // plain then the flipped trajectory of seed r.
+  const MonteCarloEngine engine(o);
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const sim::DesContext context(pts[i]);
+    ASSERT_EQ(one[i].trajectories.size(), one[i].replications);
+    for (std::size_t rep = 0; 2 * rep < one[i].trajectories.size(); ++rep) {
+      for (const bool flip : {false, true}) {
+        sim::UniformStream draw(engine.replication_seed(i, rep), flip);
+        const auto solo = sim::simulate_group(pts[i], draw, context);
+        EXPECT_EQ(solo.ttsf, one[i].trajectories[2 * rep + flip].ttsf)
+            << i << "/" << rep;
+      }
+    }
+  }
+}
+
+TEST(McEngine, FixedBudgetBeyondInFlightWindowMatchesOneThread) {
+  // 5000 replications in one round exceed the engine's in-flight
+  // window of 4096, and blocks of 1000 straddle the wave boundary.
+  McOptions o;
+  o.rel_ci_target = 0.0;
+  o.min_replications = 5000;
+  o.max_replications = 5000;
+  o.block = 1000;
+  o.capture_trajectories = true;
+  auto run = [&](std::size_t threads) {
+    McOptions opts = o;
+    opts.threads = threads;
+    MonteCarloEngine engine(opts);
+    return engine.run_des(small_grid());
+  };
+  const auto one = run(1);
+  ASSERT_EQ(one[0].replications, 5000u);
+  expect_bitwise_equal(one, run(4));
+}
+
 TEST(McEngine, CrnSharesSubstreamsAcrossPoints) {
   McOptions crn;
   crn.crn = true;

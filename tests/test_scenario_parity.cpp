@@ -65,6 +65,15 @@ TEST(ScenarioParity, RareEventSmokePlainPayloadsMatchGoldenBitwise) {
             strip_newlines(midas::testing::kGoldenRareEventSmokeBackends));
 }
 
+TEST(ScenarioParity, DetectorMatrixSmokeMatchesGoldenBitwise) {
+  // DES under all four detector models: pins the state-dependent
+  // effective-rate paths (entropy, cusum, logistic) that the static
+  // goldens above never reach.
+  EXPECT_EQ(canonical_backends("detector_matrix"),
+            strip_newlines(
+                midas::testing::kGoldenDetectorMatrixSmokeBackends));
+}
+
 // --- Constant-schedule parity (PR 9): a single identity segment or an
 // all-inherit mission phase resolves to the base point bitwise, so the
 // backend payloads must still equal the pre-refactor goldens.
