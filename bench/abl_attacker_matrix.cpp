@@ -19,7 +19,7 @@
 
 int main(int argc, char** argv) {
   using namespace midas;
-  const bool smoke = bench::has_flag(argc, argv, "--smoke");
+  const bool smoke = bench::smoke_mode(argc, argv);
   bench::print_header(
       "Ablation A1: attacker function x detection function matrix",
       "best detection strength tracks attacker strength (diagonal "

@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace midas;
-  const bool smoke = bench::has_flag(argc, argv, "--smoke");
+  const bool smoke = bench::smoke_mode(argc, argv);
   bench::print_header(
       "Ablation A4: parameter elasticities at the default design point",
       "(dM/M)/(dp/p); negative MTTSF elasticity = parameter hurts "

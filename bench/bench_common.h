@@ -9,9 +9,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -31,11 +33,21 @@ inline void print_header(const std::string& title,
   std::printf("paper result to reproduce: %s\n\n", paper_claim.c_str());
 }
 
-inline bool has_flag(int argc, char** argv, const char* flag) {
+/// The one command-line option every bench takes: true for `--smoke`,
+/// false for no argument.  Any other argument (a typo such as `--smok`
+/// would otherwise run full scale and write a "full" artifact) prints
+/// what is accepted and exits 2.
+inline bool smoke_mode(int argc, char** argv) {
+  bool smoke = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
+    if (std::strcmp(argv[i], "--smoke") != 0) {
+      std::fprintf(stderr, "%s: unknown argument '%s' (accepted: --smoke)\n",
+                   argv[0], argv[i]);
+      std::exit(2);
+    }
+    smoke = true;
   }
-  return false;
+  return smoke;
 }
 
 /// A named MTTSF or Ctotal series over the TIDS grid.
@@ -162,13 +174,20 @@ inline bool report_validation(const core::ExperimentResult& result,
   return ok;
 }
 
-/// Starts a BENCH_*.json artifact with the standard identity fields.
+/// Starts a BENCH_*.json artifact with the standard identity fields,
+/// including the host's core count and the worker count a default
+/// service or engine (threads = 0) runs with, so timings from different
+/// hosts are comparable.
 inline util::Json artifact(const std::string& bench, bool smoke,
                            std::size_t grid_points) {
+  const auto nproc = static_cast<double>(
+      std::max(std::thread::hardware_concurrency(), 1u));
   auto json = util::Json::object();
   json.set("bench", util::Json(bench));
   json.set("mode", util::Json(std::string(smoke ? "smoke" : "full")));
   json.set("grid_points", util::Json(static_cast<double>(grid_points)));
+  json.set("nproc", util::Json(nproc));
+  json.set("threads", util::Json(nproc));
   return json;
 }
 

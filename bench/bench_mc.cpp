@@ -24,7 +24,6 @@
 // budgets for CI runtimes.
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "bench_common.h"
@@ -47,10 +46,7 @@ double contrast_variance(const std::vector<sim::Trajectory>& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = bench::smoke_mode(argc, argv);
 
   bench::print_header(
       "Monte-Carlo engine: val_des grid, seed loop vs batched service",

@@ -60,7 +60,7 @@ void attach_inherit_mission(core::Params& p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::has_flag(argc, argv, "--smoke");
+  const bool smoke = bench::smoke_mode(argc, argv);
   bench::print_header(
       "PR 9: phased missions & time-inhomogeneous dynamics",
       "constant schedules are bitwise the legacy model; phased analytic "

@@ -23,7 +23,6 @@
 #include <cstdio>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -84,7 +83,7 @@ core::ExperimentSpec scenario_spec(const std::string& preset, bool smoke,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::has_flag(argc, argv, "--smoke");
+  const bool smoke = bench::smoke_mode(argc, argv);
   bench::print_header(
       "scenario models: pluggable detectors & attackers",
       "per-scenario MTTSF curves; DES inside analytic 95% CI where the "
@@ -191,12 +190,8 @@ int main(int argc, char** argv) {
               kProbePasses, kProbeEvents);
   probe_table.print(std::cout);
 
-  const auto nproc = static_cast<double>(
-      std::max(std::thread::hardware_concurrency(), 1u));
-  json.set("nproc", util::Json(nproc));
-  // The scenario runs use the service default (one worker per core);
+  // The scenario runs use the service default (artifact()'s "threads");
   // the per-event probe runs on one thread.
-  json.set("threads", util::Json(nproc));
   json.set("probe_threads", util::Json(1.0));
   json.set("per_event", std::move(per_event));
   json.set("scenarios", std::move(entries));

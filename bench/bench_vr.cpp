@@ -44,7 +44,7 @@ double work_efficiency(double hw_plain, double work_plain, double hw,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::has_flag(argc, argv, "--smoke");
+  const bool smoke = bench::smoke_mode(argc, argv);
   bench::print_header(
       "PR 10: variance reduction (scrambled Sobol / control variates / "
       "multilevel splitting)",

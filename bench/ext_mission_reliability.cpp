@@ -24,7 +24,7 @@
 
 int main(int argc, char** argv) {
   using namespace midas;
-  const bool smoke = bench::has_flag(argc, argv, "--smoke");
+  const bool smoke = bench::smoke_mode(argc, argv);
   bench::print_header(
       "Extension E1: mission reliability R(t) per detection interval",
       "R(t) from the backward-equation integrator; short missions tolerate "

@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace midas;
-  const bool smoke = bench::has_flag(argc, argv, "--smoke");
+  const bool smoke = bench::smoke_mode(argc, argv);
   bench::print_header(
       "Figure 2: effect of m on MTTSF and optimal TIDS",
       "unimodal curves; larger m -> larger MTTSF, smaller optimal TIDS "

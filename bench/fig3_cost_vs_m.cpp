@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace midas;
-  const bool smoke = bench::has_flag(argc, argv, "--smoke");
+  const bool smoke = bench::smoke_mode(argc, argv);
   bench::print_header(
       "Figure 3: effect of m on Ctotal and optimal TIDS",
       "unimodal cost curves; larger m -> higher Ctotal; cost-optimal "

@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace midas;
-  const bool smoke = bench::has_flag(argc, argv, "--smoke");
+  const bool smoke = bench::smoke_mode(argc, argv);
   bench::print_header(
       "Figure 5: Ctotal vs TIDS per detection function (linear attacker, "
       "m = 5)",

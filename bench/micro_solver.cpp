@@ -165,7 +165,7 @@ ProfileResult run_profile(const Profile& prof, std::size_t reps) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::has_flag(argc, argv, "--smoke");
+  const bool smoke = bench::smoke_mode(argc, argv);
 
   bench::print_header(
       "Batched absorbing solver: scalar vs point-major batch kernels",

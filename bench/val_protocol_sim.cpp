@@ -18,7 +18,7 @@
 
 int main(int argc, char** argv) {
   using namespace midas;
-  const bool smoke = bench::has_flag(argc, argv, "--smoke");
+  const bool smoke = bench::smoke_mode(argc, argv);
   bench::print_header(
       "Validation V2: protocol-level simulation vs analytic model",
       "same order of magnitude for TTSF and traffic; same TIDS trend");

@@ -6,7 +6,8 @@
 # Monte-Carlo engine bench, the two-process sharded run demo
 # (contiguous AND pilot-cost-balanced splits), the fleet soak, the
 # figure/ablation grid benches (all in smoke mode), the micro benches
-# with a minimal measurement budget, and UBSan and TSan test builds.
+# with a minimal measurement budget, and ASan+UBSan and TSan test
+# builds.
 # Leaves the BENCH_*.json artifacts in build/ for the workflow to
 # archive.
 set -euo pipefail
@@ -166,17 +167,20 @@ for b in micro_voting; do
   fi
 done
 
-# --- UBSan build-and-test: the batched kernels lean on pointer/span
-# arithmetic over arena scratch, so rebuild the library + test suite
-# with UndefinedBehaviorSanitizer (non-recoverable: any finding aborts)
-# and run the full gtest binary once.  Only the midas_tests target is
-# built — the bench/tool executables are covered by the plain build.
-cmake -B build-ubsan -S . \
+# --- ASan+UBSan build-and-test: the batched kernels lean on pointer/
+# span arithmetic over arena scratch, and the fleet on sockets and
+# frame buffers, so rebuild the library + test suite with
+# AddressSanitizer (LeakSanitizer included) and
+# UndefinedBehaviorSanitizer together (non-recoverable: any finding
+# aborts) and run the full gtest binary once.  Only the midas_tests
+# target is built — the bench/tool executables are covered by the
+# plain build.
+cmake -B build-asan -S . \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=all" \
-      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
-cmake --build build-ubsan -j"${JOBS}" --target midas_tests
-./build-ubsan/midas_tests
+      -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
+      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+cmake --build build-asan -j"${JOBS}" --target midas_tests
+ASAN_OPTIONS="halt_on_error=1" ./build-asan/midas_tests
 
 # --- TSan build-and-test: the thread paths — the Monte-Carlo engine's
 # chunked schedule (workers write disjoint sample slots that the

@@ -1687,56 +1687,45 @@ ExperimentResult merge_experiment_results(
   return merged;
 }
 
-// --- Built-in backends + service. -------------------------------------
+// --- Backends + service. ----------------------------------------------
+//
+// Each backend answers the point slice independently of which shard
+// runs it (the merge invariant): MC substream keys are global
+// (point_stream_offset), analytic solves are per-point.
 
 namespace {
 
-class AnalyticBackend final : public Backend {
- public:
-  AnalyticBackend(SweepEngine& engine, std::size_t threads)
-      : engine_(engine), threads_(threads) {}
-  [[nodiscard]] BackendKind kind() const override {
-    return BackendKind::Analytic;
-  }
-  [[nodiscard]] BackendRun run(const ExperimentSpec& spec, const GridSpec&,
-                               std::span<const Params> points,
-                               ShardRange) override {
-    const util::Stopwatch watch;
-    BackendRun out;
-    out.kind = BackendKind::Analytic;
-    if (!spec.base.time_varying()) {
-      out.evals = engine_.evaluate(points, spec.analytic.batch);
-    } else if (resolve_timeline(spec.base).size() == 1) {
-      // Constant variation (identity or a single always-on scaling):
-      // resolve each point to its one constant segment and keep the
-      // batched sweep path.  Identity multipliers are IEEE-exact, so
-      // this payload is bitwise the no-schedule one.
-      std::vector<Params> constant;
-      constant.reserve(points.size());
-      for (const auto& p : points) {
-        constant.push_back(resolve_timeline(p).front().params);
-      }
-      out.evals = engine_.evaluate(constant, spec.analytic.batch);
-    } else {
-      // Phased mission: chain the transient solver across boundaries,
-      // one analyzer per grid point.  Points are independent, so the
-      // MC thread pool shape applies.
-      out.evals.resize(points.size());
-      sim::parallel_for(
-          points.size(),
-          [&](std::size_t i) {
-            out.evals[i] = MissionAnalyzer(points[i]).evaluate();
-          },
-          threads_);
+BackendRun run_analytic(SweepEngine& engine, const ExperimentSpec& spec,
+                        std::span<const Params> points, std::size_t threads) {
+  BackendRun out;
+  out.kind = BackendKind::Analytic;
+  if (!spec.base.time_varying()) {
+    out.evals = engine.evaluate(points, spec.analytic.batch);
+  } else if (resolve_timeline(spec.base).size() == 1) {
+    // Constant variation (identity or a single always-on scaling):
+    // resolve each point to its one constant segment and keep the
+    // batched sweep path.  Identity multipliers are IEEE-exact, so
+    // this payload is bitwise the no-schedule one.
+    std::vector<Params> constant;
+    constant.reserve(points.size());
+    for (const auto& p : points) {
+      constant.push_back(resolve_timeline(p).front().params);
     }
-    out.seconds = watch.seconds();
-    return out;
+    out.evals = engine.evaluate(constant, spec.analytic.batch);
+  } else {
+    // Phased mission: chain the transient solver across boundaries,
+    // one analyzer per grid point.  Points are independent, so the
+    // MC thread pool shape applies.
+    out.evals.resize(points.size());
+    sim::parallel_for(
+        points.size(),
+        [&](std::size_t i) {
+          out.evals[i] = MissionAnalyzer(points[i]).evaluate();
+        },
+        threads);
   }
-
- private:
-  SweepEngine& engine_;
-  std::size_t threads_;
-};
+  return out;
+}
 
 /// Shard-invariant MC options: stream keys shifted to GLOBAL point
 /// indices, service-level thread default applied.
@@ -1748,86 +1737,48 @@ sim::McOptions effective_mc(const ExperimentSpec& spec, ShardRange range,
   return mc;
 }
 
-class DesBackend final : public Backend {
- public:
-  explicit DesBackend(std::size_t threads) : threads_(threads) {}
-  [[nodiscard]] BackendKind kind() const override {
-    return BackendKind::Des;
-  }
-  [[nodiscard]] BackendRun run(const ExperimentSpec& spec, const GridSpec&,
-                               std::span<const Params> points,
-                               ShardRange range) override {
-    const util::Stopwatch watch;
-    const sim::McOptions mc = effective_mc(spec, range, threads_);
-    sim::MonteCarloEngine engine(mc);
-    BackendRun out;
-    out.kind = BackendKind::Des;
-    out.mc = engine.run_des(points);
-    out.mc_stats = engine.stats();
-    // The vr layer runs AFTER the plain pass on its own tagged seed
-    // domains: the mc payload above is bitwise the payload of a vr-less
-    // run of the same spec (the parity harness checks exactly this).
-    if (spec.vr.any()) out.vr = vr::run_vr(spec.vr, mc, points);
-    out.seconds = watch.seconds();
-    return out;
-  }
+BackendRun run_des(const ExperimentSpec& spec, std::span<const Params> points,
+                   ShardRange range, std::size_t threads) {
+  const sim::McOptions mc = effective_mc(spec, range, threads);
+  sim::MonteCarloEngine engine(mc);
+  BackendRun out;
+  out.kind = BackendKind::Des;
+  out.mc = engine.run_des(points);
+  out.mc_stats = engine.stats();
+  // The vr layer runs AFTER the plain pass on its own tagged seed
+  // domains: the mc payload above is bitwise the payload of a vr-less
+  // run of the same spec (the parity harness checks exactly this).
+  if (spec.vr.any()) out.vr = vr::run_vr(spec.vr, mc, points);
+  return out;
+}
 
- private:
-  std::size_t threads_;
-};
-
-class ProtocolSimBackend final : public Backend {
- public:
-  explicit ProtocolSimBackend(std::size_t threads) : threads_(threads) {}
-  [[nodiscard]] BackendKind kind() const override {
-    return BackendKind::ProtocolSim;
+BackendRun run_protocol_sim(const ExperimentSpec& spec,
+                            std::span<const Params> points, ShardRange range,
+                            std::size_t threads) {
+  std::vector<sim::ProtocolSimParams> sim_points;
+  sim_points.reserve(points.size());
+  for (const auto& p : points) {
+    sim::ProtocolSimParams q;
+    q.model = p;
+    q.mobility = spec.protocol.mobility;
+    q.radio_range_m = spec.protocol.radio_range_m;
+    q.tick_s = spec.protocol.tick_s;
+    q.topology_refresh_s = spec.protocol.topology_refresh_s;
+    q.max_time_s = spec.protocol.max_time_s;
+    sim_points.push_back(std::move(q));
   }
-  [[nodiscard]] BackendRun run(const ExperimentSpec& spec, const GridSpec&,
-                               std::span<const Params> points,
-                               ShardRange range) override {
-    const util::Stopwatch watch;
-    std::vector<sim::ProtocolSimParams> sim_points;
-    sim_points.reserve(points.size());
-    for (const auto& p : points) {
-      sim::ProtocolSimParams q;
-      q.model = p;
-      q.mobility = spec.protocol.mobility;
-      q.radio_range_m = spec.protocol.radio_range_m;
-      q.tick_s = spec.protocol.tick_s;
-      q.topology_refresh_s = spec.protocol.topology_refresh_s;
-      q.max_time_s = spec.protocol.max_time_s;
-      sim_points.push_back(std::move(q));
-    }
-    sim::MonteCarloEngine engine(effective_mc(spec, range, threads_));
-    BackendRun out;
-    out.kind = BackendKind::ProtocolSim;
-    out.mc = engine.run_protocol(sim_points);
-    out.mc_stats = engine.stats();
-    out.seconds = watch.seconds();
-    return out;
-  }
-
- private:
-  std::size_t threads_;
-};
-
-SweepEngineOptions resolve_sweep_options(const ExperimentServiceOptions& o) {
-  SweepEngineOptions sweep = o.sweep;
-  if (sweep.threads == 0) sweep.threads = o.threads;
-  return sweep;
+  sim::MonteCarloEngine engine(effective_mc(spec, range, threads));
+  BackendRun out;
+  out.kind = BackendKind::ProtocolSim;
+  out.mc = engine.run_protocol(sim_points);
+  out.mc_stats = engine.stats();
+  return out;
 }
 
 }  // namespace
 
 ExperimentService::ExperimentService(ExperimentServiceOptions opts)
-    : opts_(opts), engine_(resolve_sweep_options(opts)) {
-  backends_.push_back(
-      std::make_unique<AnalyticBackend>(engine_, opts_.threads));
-  backends_.push_back(std::make_unique<DesBackend>(opts_.threads));
-  backends_.push_back(std::make_unique<ProtocolSimBackend>(opts_.threads));
-}
-
-ExperimentService::~ExperimentService() = default;
+    : opts_(opts), engine_({.threads = opts.threads}) {}
 
 ExperimentResult ExperimentService::run(const ExperimentSpec& spec) {
   spec.validate();
@@ -1850,12 +1801,21 @@ ExperimentResult ExperimentService::run(const ExperimentSpec& spec) {
   result.shard_policy = to_string(spec.shard.policy);
 
   for (const BackendKind kind : spec.backends) {
-    for (auto& backend : backends_) {
-      if (backend->kind() == kind) {
-        result.backends.push_back(backend->run(spec, grid, points, range));
+    const util::Stopwatch watch;
+    BackendRun run;
+    switch (kind) {
+      case BackendKind::Analytic:
+        run = run_analytic(engine_, spec, points, opts_.threads);
         break;
-      }
+      case BackendKind::Des:
+        run = run_des(spec, points, range, opts_.threads);
+        break;
+      case BackendKind::ProtocolSim:
+        run = run_protocol_sim(spec, points, range, opts_.threads);
+        break;
     }
+    run.seconds = watch.seconds();
+    result.backends.push_back(std::move(run));
   }
   return result;
 }

@@ -1,4 +1,4 @@
-// Declarative experiment API — ONE spec, pluggable backends, ONE wire
+// Declarative experiment API — ONE spec, three backends, ONE wire
 // format.  The paper's evaluation is a single design space answered
 // three ways (analytic SPN solution, discrete-event simulation,
 // packet-level protocol simulation); this module makes that the shape
@@ -10,11 +10,11 @@
 //     environment knobs, and an optional shard selection.  A spec file
 //     fully determines a worker's job — it is the wire format
 //     run_experiment and the fleet tools speak.
-//   * core::Backend is the small interface every solver implements;
-//     AnalyticBackend (batched SweepEngine solve), DesBackend
-//     (MonteCarloEngine over simulate_group) and ProtocolSimBackend
-//     (MonteCarloEngine over run_protocol_sim) are interchangeable
-//     per request — any subset, one pass each.
+//   * three backends answer a spec: Analytic (batched SweepEngine
+//     solve, or MissionAnalyzer for phased missions), Des
+//     (MonteCarloEngine over simulate_group) and ProtocolSim
+//     (MonteCarloEngine over run_protocol_sim).  A request names any
+//     subset; each runs once, in spec order.
 //   * core::ExperimentService::run(spec) validates, expands the grid,
 //     resolves the shard slice, runs every requested backend and
 //     returns an ExperimentResult whose JSON form (raw Welford states,
@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -100,11 +99,11 @@ struct ProtocolOptions {
 
 /// Knobs of the analytic (SPN) backend.
 struct AnalyticOptions {
-  /// Grid points per batched solve (SweepEngineOptions::batch): the
+  /// Grid points per batched solve (see kDefaultBatchWidth): the
   /// analytic backend chunks same-structure points into batches of this
-  /// width and drives the point-major batch kernels.  1 = the legacy
-  /// scalar per-point path.  Results do not depend on the width.
-  std::size_t batch = 8;
+  /// width and drives the point-major batch kernels.  1 = the scalar
+  /// per-point path.  Results do not depend on the width.
+  std::size_t batch = kDefaultBatchWidth;
 };
 
 /// The declarative experiment request.  JSON schema "midas-experiment-v1":
@@ -221,39 +220,20 @@ struct ExperimentResult {
 [[nodiscard]] ExperimentResult merge_experiment_results(
     std::span<const ExperimentResult> parts);
 
-/// One solver behind the service.  Implementations must answer the
-/// point slice independently of which shard runs it (the merge
-/// invariant): MC substream keys are global (point_stream_offset),
-/// analytic solves are per-point.
-class Backend {
- public:
-  virtual ~Backend() = default;
-  [[nodiscard]] virtual BackendKind kind() const = 0;
-  [[nodiscard]] virtual BackendRun run(const ExperimentSpec& spec,
-                                       const GridSpec& grid,
-                                       std::span<const Params> points,
-                                       ShardRange range) = 0;
-};
-
 struct ExperimentServiceOptions {
   /// Worker threads for every backend (0 = hardware concurrency).
   /// A non-zero spec.mc.threads takes precedence for the simulation
   /// backends of that request.
   std::size_t threads = 0;
-  /// Analytic engine tuning (naive-path toggle, factor reuse).
-  SweepEngineOptions sweep;
 };
 
 /// The one entry point: run(spec) → ExperimentResult.  Holds the
 /// analytic SweepEngine (structure cache shared across requests — a
-/// figure grid and its validation grid explore once) and the three
-/// built-in backends.
+/// figure grid and its validation grid explore once) and answers each
+/// requested backend in spec order.
 class ExperimentService {
  public:
   explicit ExperimentService(ExperimentServiceOptions opts = {});
-  ~ExperimentService();
-  ExperimentService(const ExperimentService&) = delete;
-  ExperimentService& operator=(const ExperimentService&) = delete;
 
   [[nodiscard]] ExperimentResult run(const ExperimentSpec& spec);
 
@@ -266,7 +246,6 @@ class ExperimentService {
  private:
   ExperimentServiceOptions opts_;
   SweepEngine engine_;
-  std::vector<std::unique_ptr<Backend>> backends_;
 };
 
 }  // namespace midas::core

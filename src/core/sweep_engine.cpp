@@ -83,7 +83,7 @@ SweepEngine::SweepEngine(SweepEngineOptions opts) : opts_(opts) {}
 
 std::vector<Evaluation> SweepEngine::evaluate(
     std::span<const Params> points) {
-  return evaluate(points, opts_.batch);
+  return evaluate(points, kDefaultBatchWidth);
 }
 
 std::vector<Evaluation> SweepEngine::evaluate(std::span<const Params> points,
@@ -93,16 +93,14 @@ std::vector<Evaluation> SweepEngine::evaluate(std::span<const Params> points,
   if (points.empty()) return evals;
 
   // Resolve cache entries serially (the map is not touched by workers).
-  std::vector<CacheEntry*> entry_of(points.size(), nullptr);
-  if (opts_.reuse_structure) {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      auto& slot = cache_[structure_key(points[i])];
-      if (!slot) slot = std::make_unique<CacheEntry>();
-      entry_of[i] = slot.get();
-    }
+  std::vector<CacheEntry*> entry_of(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    auto& slot = cache_[structure_key(points[i])];
+    if (!slot) slot = std::make_unique<CacheEntry>();
+    entry_of[i] = slot.get();
   }
 
-  if (opts_.reuse_structure && batch_width > 1) {
+  if (batch_width > 1) {
     // Batched path: chunk runs of consecutive points that share a
     // structure into batches of `batch_width` and drive each through the
     // point-major kernels.  Per-point results are independent of the
@@ -167,7 +165,7 @@ std::vector<Evaluation> SweepEngine::evaluate(std::span<const Params> points,
                                                 model_ptrs));
           const auto batch_evals =
               evaluate_with_batch(model_ptrs, *entry->analyzer, rates,
-                                  impulses, opts_.factor_reuse, arena);
+                                  impulses, /*factor_reuse=*/true, arena);
           for (std::size_t j = 0; j < B; ++j) {
             evals[bt.begin + j] = batch_evals[j];
           }
@@ -186,15 +184,6 @@ std::vector<Evaluation> SweepEngine::evaluate(std::span<const Params> points,
       [&](std::size_t i) {
         const GcsSpnModel model(points[i]);
         CacheEntry* entry = entry_of[i];
-        if (entry == nullptr) {
-          evals[i] = model.evaluate();
-          std::lock_guard lock(stats_mutex_);
-          ++stats_.points;
-          ++stats_.explorations;
-          stats_.states_explored += evals[i].num_states;
-          stats_.states_evaluated += evals[i].num_states;
-          return;
-        }
         // First point of a structural configuration explores and builds
         // the solver structure; every point then owns only its per-edge
         // rate/impulse arrays (the mutable slice of the graph) and the

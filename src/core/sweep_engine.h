@@ -3,15 +3,18 @@
 // shape / voter-count sweep never changes the reachable state set or the
 // edge structure of the SPN, only the rate values.  The engine therefore
 //   1. explores the reachability graph ONCE per structural configuration
-//      (initial marking + guards + edge-existence pattern),
-//   2. re-rates a clone of the cached structure per sweep point
-//      (spn::ReachabilityGraph::refresh_rates) instead of re-running
-//      spn::explore + marking hashing,
-//   3. accumulates every reward component in a single pass
-//      (GcsSpnModel::evaluate_on), and
-//   4. drives the points through sim::parallel_for.
+//      (initial marking + guards + edge-existence pattern) and builds
+//      its spn::AbsorbingAnalyzer once,
+//   2. fills per-point edge-rate/impulse arrays over the shared
+//      structure (compute_rates, or compute_rates_batch for a batch)
+//      instead of re-running spn::explore + marking hashing,
+//   3. solves and accumulates every reward component in a single pass
+//      (GcsSpnModel::evaluate_with / evaluate_with_batch), and
+//   4. drives the points — or batches of kDefaultBatchWidth points —
+//      through sim::parallel_for.
 // Structure caching persists across calls, so a bench that sweeps four
-// m-values over the TIDS grid pays for one exploration in total.
+// m-values over the TIDS grid pays for one exploration in total.  The
+// one knob is the worker count.
 //
 // This is the analytic engine behind core::ExperimentService: grids,
 // shard slices and Monte-Carlo validation are described as a
@@ -52,26 +55,20 @@ struct SweepResult {
   }
 };
 
+/// Grid points per batched solve unless the caller names a width (the
+/// spec-level knob ExperimentSpec::analytic.batch defaults to it): runs
+/// of points sharing one explored structure are chunked into batches of
+/// this width and solved through the point-major batch path
+/// (compute_rates_batch → solve_batch → evaluate_with_batch), with
+/// scratch from the worker thread's arena and LU factorisations shared
+/// across points whose normalised dense SCC blocks coincide
+/// (spn::BatchSolveOptions::factor_reuse): results are within 1e-12
+/// relative of the scalar path and independent of batch/shard grouping.
+inline constexpr std::size_t kDefaultBatchWidth = 8;
+
 struct SweepEngineOptions {
   /// Worker threads for the point loop (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// When false, every point re-explores from scratch (the naive path;
-  /// kept for validation and speedup measurement).
-  bool reuse_structure = true;
-  /// Grid points per batched solve: runs of points sharing one explored
-  /// structure are chunked into batches of this width and solved through
-  /// the point-major batch path (compute_rates_batch → solve_batch →
-  /// evaluate_with_batch), with scratch from the worker thread's arena.
-  /// 1 = the legacy scalar per-point path (also used when
-  /// reuse_structure is off).  Spec-level knob: ExperimentSpec::
-  /// analytic.batch.
-  std::size_t batch = 8;
-  /// Share LU factorisations across batch points whose normalised dense
-  /// SCC blocks coincide (spn::BatchSolveOptions::factor_reuse).  ON:
-  /// results are within 1e-12 relative of the scalar path and
-  /// independent of batch/shard grouping.  OFF: bitwise the scalar
-  /// path.
-  bool factor_reuse = true;
 };
 
 /// The key under which parameter points share one explored structure:
@@ -85,18 +82,18 @@ class SweepEngine {
   explicit SweepEngine(SweepEngineOptions opts = {});
 
   /// Evaluates every parameter point; points whose structure_key()
-  /// matches share one exploration (cached across calls).  Uses the
-  /// options' batch width.
+  /// matches share one exploration (cached across calls).  Uses
+  /// kDefaultBatchWidth.
   [[nodiscard]] std::vector<Evaluation> evaluate(
       std::span<const Params> points);
 
   /// As above with an explicit batch width (the spec-level
-  /// analytic.batch knob): width <= 1 — or reuse_structure off — runs
-  /// the legacy scalar per-point path; otherwise consecutive points
-  /// sharing a structure are solved `batch_width` at a time through the
-  /// point-major batch kernels.  Per-point results do not depend on the
-  /// width (bitwise: the batch path is grouping-independent by
-  /// construction).
+  /// analytic.batch knob): width <= 1 runs the scalar per-point path
+  /// (the baseline the batch path is gated against); otherwise
+  /// consecutive points sharing a structure are solved `batch_width` at
+  /// a time through the point-major batch kernels.  Per-point results
+  /// do not depend on the width (bitwise: the batch path is
+  /// grouping-independent by construction).
   [[nodiscard]] std::vector<Evaluation> evaluate(
       std::span<const Params> points, std::size_t batch_width);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 namespace midas::linalg {
@@ -83,14 +82,6 @@ CsrMatrix CsrMatrix::transposed() const {
   return from_triplets(cols_, rows_, std::move(trips));
 }
 
-std::vector<double> CsrMatrix::diagonal() const {
-  std::vector<double> d(std::min(rows_, cols_), 0.0);
-  for (std::size_t r = 0; r < d.size(); ++r) {
-    d[r] = at(r, r);
-  }
-  return d;
-}
-
 std::span<const std::uint32_t> CsrMatrix::row_cols(std::size_t r) const {
   return {col_.data() + row_ptr_[r],
           static_cast<std::size_t>(row_ptr_[r + 1] - row_ptr_[r])};
@@ -106,18 +97,6 @@ double CsrMatrix::at(std::size_t r, std::size_t c) const {
     if (col_[k] == c) return values_[k];
   }
   return 0.0;
-}
-
-double CsrMatrix::inf_norm() const {
-  double best = 0.0;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      acc += std::abs(values_[k]);
-    }
-    best = std::max(best, acc);
-  }
-  return best;
 }
 
 }  // namespace midas::linalg

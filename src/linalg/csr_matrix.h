@@ -1,6 +1,6 @@
 // Compressed-sparse-row matrix.  This is the backbone of the SPN→CTMC
 // pipeline: generator matrices at N = 100 have ~20k states and ~6 nnz per
-// row, so CSR + iterative solvers handle every experiment in milliseconds.
+// row, so CSR storage keeps every generator compact.
 #pragma once
 
 #include <cstddef>
@@ -40,18 +40,12 @@ class CsrMatrix {
   /// solver which iterates on columns of the generator).
   [[nodiscard]] CsrMatrix transposed() const;
 
-  /// Diagonal entries (0 where the diagonal is structurally absent).
-  [[nodiscard]] std::vector<double> diagonal() const;
-
   /// Row access for solver kernels.
   [[nodiscard]] std::span<const std::uint32_t> row_cols(std::size_t r) const;
   [[nodiscard]] std::span<const double> row_values(std::size_t r) const;
 
   /// Entry lookup (O(row nnz)); 0.0 if absent.
   [[nodiscard]] double at(std::size_t r, std::size_t c) const;
-
-  /// Infinity norm of the matrix (max absolute row sum).
-  [[nodiscard]] double inf_norm() const;
 
  private:
   std::size_t rows_ = 0;

@@ -1,6 +1,6 @@
 // The variance-reduction estimation layer: sits between the experiment
-// API (core::DesBackend) and sim::MonteCarloEngine, running whichever
-// estimators the `spec.mc.vr` block enables ALONGSIDE the plain
+// API (the service's Des backend) and sim::MonteCarloEngine, running
+// whichever estimators the `spec.mc.vr` block enables ALONGSIDE the plain
 // replication pass — the plain pass's results stay bitwise identical
 // whether or not this layer runs, because every estimator here draws
 // from its own tagged seed domain (splitmix64(base_seed ^ tag)) and

@@ -69,20 +69,6 @@ TEST(CsrMatrix, TransposeOfRectangular) {
   EXPECT_DOUBLE_EQ(t.at(0, 1), -2.0);
 }
 
-TEST(CsrMatrix, DiagonalExtraction) {
-  const auto m = small_matrix();
-  const auto d = m.diagonal();
-  ASSERT_EQ(d.size(), 3u);
-  EXPECT_DOUBLE_EQ(d[0], 2.0);
-  EXPECT_DOUBLE_EQ(d[1], 3.0);
-  EXPECT_DOUBLE_EQ(d[2], 5.0);
-}
-
-TEST(CsrMatrix, InfNorm) {
-  const auto m = small_matrix();
-  EXPECT_DOUBLE_EQ(m.inf_norm(), 9.0);  // row 2: |4| + |5|
-}
-
 TEST(CsrMatrix, EmptyRowsHandled) {
   const auto m = CsrMatrix::from_triplets(4, 4, {{3, 3, 1.0}});
   const std::vector<double> x{1, 1, 1, 1};

@@ -219,6 +219,40 @@ TEST(ExperimentService, ProtocolBackendRunsAndRecordsInvariants) {
   EXPECT_GT(result.at(BackendKind::Analytic).evals[0].mttsf, 0.0);
 }
 
+TEST(ExperimentService, AnswersBackendsInSpecOrderIndependently) {
+  // The service answers the requested backends in the order the spec
+  // names them, and each answer is the one a spec requesting only that
+  // backend gets: no backend's payload depends on which others ran
+  // before it in the same request.
+  ExperimentSpec spec = small_spec();
+  spec.mc.min_replications = 8;
+  spec.mc.max_replications = 8;
+  spec.mc.block = 4;
+  spec.backends = {BackendKind::ProtocolSim, BackendKind::Des,
+                   BackendKind::Analytic};
+  ExperimentService service;
+  const ExperimentResult all = service.run(spec);
+  const std::size_t slice = all.range.size();
+  ASSERT_EQ(slice, 4u);
+  ASSERT_EQ(all.backends.size(), spec.backends.size());
+  const auto all_backends = all.canonical_json().at("backends");
+  for (std::size_t b = 0; b < spec.backends.size(); ++b) {
+    const core::BackendRun& run = all.backends[b];
+    EXPECT_EQ(run.kind, spec.backends[b]) << "backend " << b;
+    EXPECT_EQ(run.kind == BackendKind::Analytic ? run.evals.size()
+                                                : run.mc.size(),
+              slice)
+        << to_string(run.kind);
+
+    ExperimentSpec alone = spec;
+    alone.backends = {spec.backends[b]};
+    const ExperimentResult single = ExperimentService().run(alone);
+    EXPECT_EQ(all_backends.at(b).dump_compact(),
+              single.canonical_json().at("backends").at(0).dump_compact())
+        << to_string(run.kind);
+  }
+}
+
 TEST(ExperimentService, ShardedRunsMergeBitwiseToTheFullGrid) {
   // CRN (substreams keyed by replication only), independent streams
   // (keyed by GLOBAL point index via point_stream_offset), and

@@ -303,18 +303,6 @@ TEST(SweepEngine, ThreadCountDoesNotChangeResults) {
   }
 }
 
-TEST(SweepEngine, NaiveModeMatchesCachedMode) {
-  const auto points = at_t_ids(small_params(), {15, 240});
-  core::SweepEngine cached;
-  core::SweepEngine naive({.reuse_structure = false});
-  const auto a = cached.evaluate(points);
-  const auto b = naive.evaluate(points);
-  EXPECT_EQ(naive.stats().explorations, points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    expect_evaluations_match(a[i], b[i], 1e-12);
-  }
-}
-
 TEST(SweepResult, EmptyResultThrowsInsteadOfUb) {
   // Regression: argmax/argmin on an empty sweep must throw, never index
   // points[0].
