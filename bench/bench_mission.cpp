@@ -83,7 +83,8 @@ int main(int argc, char** argv) {
   const auto grid = spec.grid();
   json.set("grid_points", util::Json(static_cast<double>(grid.num_points())));
   const auto result = service.run(spec);
-  const auto& evals = result.at(core::BackendKind::Analytic).evals;
+  const auto& analytic = result.at(core::BackendKind::Analytic);
+  const auto& evals = analytic.evals;
   const auto& des = result.at(core::BackendKind::Des);
 
   const auto& horizons_s = spec.mc.survival_horizons;
@@ -135,10 +136,16 @@ int main(int argc, char** argv) {
                          m_inside + m_allowed >= n;
   ok &= phased_ok;
   std::printf("\nmission_phased: R(t) inside CI %zu/%zu, MTTSF inside CI "
-              "%zu/%zu, converged %s (%zu trajectories, %.2f s)  -> %s\n\n",
+              "%zu/%zu, converged %s (%zu trajectories, %.2f s)  -> %s\n",
               r_inside, r_cells, m_inside, n,
               converged_all ? "all" : "NOT ALL", des.mc_stats.replications,
               des.mc_stats.seconds, phased_ok ? "ok" : "REGRESSION");
+  // The analytic backend's own wall clock: MissionAnalyzer::evaluate per
+  // point (the R(t) table above is extra work outside it).
+  const double analytic_ms_per_point =
+      1e3 * analytic.seconds / static_cast<double>(n);
+  std::printf("mission_phased analytic: %.3f s, %.1f ms per point\n\n",
+              analytic.seconds, analytic_ms_per_point);
   json.set("phased_survival_cells", util::Json(static_cast<double>(r_cells)));
   json.set("phased_survival_inside_ci",
            util::Json(static_cast<double>(r_inside)));
@@ -148,6 +155,9 @@ int main(int argc, char** argv) {
            util::Json(std::string(converged_all ? "yes" : "no")));
   json.set("phased_replications",
            util::Json(static_cast<double>(des.mc_stats.replications)));
+  json.set("phased_analytic_seconds", util::Json::number(analytic.seconds));
+  json.set("phased_analytic_ms_per_point",
+           util::Json::number(analytic_ms_per_point));
 
   // --- 3. Surge schedule through all three backends. ------------------
   const auto surge_spec = core::experiment_preset("attacker_surge", smoke);

@@ -116,7 +116,8 @@ int main(int argc, char** argv) {
       static_cast<double>(cv_res.replications - cv_res.pilot);
   const double cv_eff = cv_res.ttsf.variance_ratio * cv_est /
                         static_cast<double>(cv_res.replications);
-  const bool cv_ok = cv_eff >= 5.0;
+  const double cv_floor = 5.0;
+  const bool cv_ok = cv_eff >= cv_floor;
   std::printf("cv_efficiency at %s: variance ratio %.2f, correlation "
               "%.3f, work-normalised %.2fx (pilot %zu of %zu)  -> %s\n",
               grid.label(cv_pt).c_str(), cv_res.ttsf.variance_ratio,
@@ -125,6 +126,8 @@ int main(int argc, char** argv) {
   json.set("cv_variance_ratio",
            util::Json::number(cv_res.ttsf.variance_ratio));
   json.set("cv_work_normalised_efficiency", util::Json::number(cv_eff));
+  json.set("cv_efficiency_floor", util::Json::number(cv_floor));
+  json.set("cv_efficiency_margin", util::Json::number(cv_eff - cv_floor));
   json.set("cv_gate", util::Json(std::string(cv_ok ? "ok" : "BELOW 5x")));
   ok &= cv_ok;
 

@@ -10,8 +10,9 @@
 // survival-indicator proportions with 95% Wilson CIs at every
 // (TIDS, horizon) cell.  The analytic R(t) values come from
 // core::MissionAnalyzer::reliability_at — for this constant preset it
-// routes bitwise through the backward-equation integrator
-// (GcsSpnModel::reliability_at), and the same call chains across phase
+// routes bitwise through the forward transient integrator
+// (GcsSpnModel::reliability_at: Crank–Nicolson steps as shifted block
+// passes over the SCC condensation), and the same call chains across phase
 // boundaries for the closing mission_phased comparison, which shows how
 // a phased threat (infiltration → assault → recovery, the
 // "mission_phased" preset) shifts the optimal TIDS versus the constant
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
   const bool smoke = bench::smoke_mode(argc, argv);
   bench::print_header(
       "Extension E1: mission reliability R(t) per detection interval",
-      "R(t) from the backward-equation integrator; short missions tolerate "
+      "R(t) from the forward transient integrator; short missions tolerate "
       "longer TIDS than long missions; Monte-Carlo survival CIs agree");
 
   const auto spec = core::experiment_preset("mission", smoke);

@@ -520,16 +520,17 @@ const spn::ReachabilityGraph& GcsSpnModel::graph() const {
 
 std::vector<double> GcsSpnModel::reliability_at(
     std::span<const double> times) const {
-  // The backward-equation integrator handles the stiff mission-length
-  // horizons that uniformisation cannot (Λ·t up to ~1e8 at the paper's
-  // parameters; see spn/reliability_ode.h).
-  const spn::ReliabilityOde ode(graph());
-  std::vector<double> sorted(times.begin(), times.end());
-  if (!std::is_sorted(sorted.begin(), sorted.end())) {
+  if (!std::is_sorted(times.begin(), times.end())) {
     throw std::invalid_argument(
         "reliability_at: times must be ascending");
   }
-  return ode.survival_at(sorted);
+  if (times.empty()) return {};
+  // R(t) is the surviving mass of the forward transient integration
+  // from the initial state; its implicit steps handle the stiff
+  // mission-length horizons that uniformisation cannot (Λ·t up to ~1e8
+  // at the paper's parameters; see spn/reliability_ode.h).
+  const spn::ReliabilityOde ode(graph());
+  return ode.propagate({}, times.back(), {}, times).survival_at;
 }
 
 Evaluation GcsSpnModel::evaluate() const { return evaluate_on(graph()); }

@@ -99,8 +99,9 @@ class GcsSpnModel {
 
   /// Mission reliability R(t) = P[no security failure by time t] — the
   /// paper's survivability requirement ("survive security threats past
-  /// the minimum mission time") as a transient measure, computed by
-  /// uniformisation.  `times` must be non-negative.
+  /// the minimum mission time") as a transient measure: the surviving
+  /// mass of spn::ReliabilityOde::propagate from the initial state.
+  /// `times` must be ascending, finite and non-negative.
   [[nodiscard]] std::vector<double> reliability_at(
       std::span<const double> times) const;
 

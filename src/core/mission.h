@@ -4,13 +4,16 @@
 //
 // Method: resolve_timeline() yields ordered constant segments.  Within
 // each non-final segment the transient distribution advances through
-// the adjoint backward-Kolmogorov integrator
-// (spn::ReliabilityOde::propagate), accumulating the segment's
-// survival-time integral (its MTTSF share), the six cost-rate
-// integrals, the eviction impulse flux and the C1/C2 absorption
-// fluxes; the weights at each boundary seed the next segment.  The
-// final segment (infinite horizon) closes the chain analytically with
-// spn::AbsorbingAnalyzer::solve_from on the boundary distribution.
+// Crank–Nicolson steps of the forward equation
+// (spn::ReliabilityOde::propagate — each step one shifted pass over the
+// SCC condensation that spn::AbsorbingAnalyzer solves), accumulating
+// the segment's survival-time integral (its MTTSF share), the six
+// cost-rate integrals, the eviction impulse flux and the C1/C2
+// absorption fluxes; the weights at each boundary seed the next
+// segment.  A non-final segment need not be able to absorb (a quiet
+// phase with no attacker).  The final segment (infinite horizon) closes
+// the chain analytically with spn::AbsorbingAnalyzer::solve_from on the
+// boundary distribution, and must.
 //
 // Structure reuse: segments whose core::structure_key matches the
 // first segment's re-rate the first segment's reachability graph
@@ -38,8 +41,8 @@
 namespace midas::core {
 
 struct MissionOptions {
-  /// Per-segment integrator settings for the forward propagation
-  /// (theta method / grid; see spn::ReliabilityOdeOptions).
+  /// Per-segment integration grid for the forward propagation (see
+  /// spn::ReliabilityOdeOptions).
   spn::ReliabilityOdeOptions ode;
 };
 

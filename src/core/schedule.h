@@ -20,7 +20,8 @@
 // boundary the same way — resolve the effective constant Params per
 // segment (core::resolve_timeline) and chain:
 //   analytic      core::MissionAnalyzer chains spn::ReliabilityOde
-//                 integrations across boundaries (mission.h)
+//                 Crank–Nicolson integrations across boundaries
+//                 (mission.h)
 //   des           Gillespie samples truncate at the next breakpoint and
 //                 resample (memoryless restart; sim/des.cpp)
 //   protocol_sim  per-tick effective rates (sim/protocol_sim.cpp)

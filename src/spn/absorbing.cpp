@@ -9,7 +9,7 @@
 
 namespace midas::spn {
 
-AbsorbingAnalyzer::AbsorbingAnalyzer(const ReachabilityGraph& graph)
+TransientStructure::TransientStructure(const ReachabilityGraph& graph)
     : graph_(graph), absorbing_(graph.absorbing_mask()) {
   const std::size_t n = graph_.num_states();
 
@@ -23,27 +23,8 @@ AbsorbingAnalyzer::AbsorbingAnalyzer(const ReachabilityGraph& graph)
     }
   }
   const std::size_t nt = expand_.size();
-  if (nt == n) {
-    throw std::runtime_error(
-        "AbsorbingAnalyzer: chain has no absorbing states");
-  }
-
-  // Snapshot of the stored edge rates so the no-argument solve() does
-  // not copy the edge list on every call (the graph is held const, so
-  // the snapshot cannot go stale).
-  stored_rates_.resize(graph_.edges.size());
-  for (std::size_t i = 0; i < stored_rates_.size(); ++i) {
-    stored_rates_[i] = graph_.edges[i].rate;
-  }
-
-  if (nt == 0) return;  // initial state itself absorbing: MTTA = 0
-
+  if (nt == 0) return;  // initial state itself absorbing
   init_compact_ = compact_[graph_.initial];
-  if (init_compact_ == UINT32_MAX) {
-    throw std::runtime_error(
-        "AbsorbingAnalyzer: initial state is marked absorbing yet transient "
-        "states exist; inconsistent graph");
-  }
 
   // Transient→transient adjacency, once: incoming CSR (for the sojourn
   // balance) and outgoing CSR (for the condensation).
@@ -90,9 +71,8 @@ AbsorbingAnalyzer::AbsorbingAnalyzer(const ReachabilityGraph& graph)
   // Compacted exit-rate and absorption-flow structure: per transient
   // state, the global indices of its non-self-loop out-edges in graph
   // CSR order (exit), and among those the transient→absorbing ones
-  // (abs).  The per-edge `e.src != e.dst` / absorbing-dst tests used to
-  // run inside every solve(); now they run once here and the per-point
-  // loops walk dense index lists.
+  // (abs).  The per-edge `e.src != e.dst` / absorbing-dst tests run
+  // once here and the per-point loops walk dense index lists.
   exit_offsets_.reserve(nt + 1);
   abs_offsets_.reserve(nt + 1);
   exit_offsets_.push_back(0);
@@ -112,8 +92,115 @@ AbsorbingAnalyzer::AbsorbingAnalyzer(const ReachabilityGraph& graph)
 
   scc_ = strongly_connected_components(out_offsets, out_targets);
   components_ = scc_.members();
+  slot_.assign(nt, 0);
   for (const auto& block : components_) {
     max_block_ = std::max(max_block_, block.size());
+    for (std::size_t r = 0; r < block.size(); ++r) {
+      slot_[block[r]] = static_cast<std::uint32_t>(r);
+    }
+  }
+  if (max_block_ > 4096) {
+    throw std::runtime_error(
+        "TransientStructure: transient SCC of size " +
+        std::to_string(max_block_) + " exceeds the dense-block limit");
+  }
+}
+
+std::vector<double> TransientStructure::exit_rates(
+    std::span<const double> edge_rates) const {
+  const std::size_t nt = expand_.size();
+  std::vector<double> exit(nt, 0.0);
+  for (std::size_t i = 0; i < nt; ++i) {
+    for (std::uint32_t k = exit_offsets_[i]; k < exit_offsets_[i + 1]; ++k) {
+      exit[i] += edge_rates[exit_edges_[k]];
+    }
+  }
+  return exit;
+}
+
+void TransientStructure::solve_blocks(std::span<const double> edge_rates,
+                                      std::span<const double> exit,
+                                      double shift,
+                                      std::span<double> y) const {
+  // Tarjan SCCs of the transient graph form a DAG; processing components
+  // in topological order makes every cross-component inflow a known
+  // quantity, and each component reduces to a dense system of its own
+  // (tiny: the model's only cycles are the group partition/merge flips).
+  // This is immune to the stiffness that defeats global Gauss–Seidel
+  // when the cycle rates exceed the security rates by many orders of
+  // magnitude.  Dense-block scratch is sized once to the largest SCC.
+  const std::size_t kmax = std::max<std::size_t>(max_block_, 1);
+  std::vector<double> lu(max_block_ > 1 ? kmax * kmax : 0);
+  std::vector<double> b(max_block_ > 1 ? kmax : 0);
+  std::vector<std::uint32_t> ipiv(b.size());
+  // b_j plus the inflow from already-solved predecessor components.
+  auto inflow = [&](std::uint32_t j, std::uint32_t c) {
+    double acc = y[j];
+    for (std::uint32_t k = in_offsets_[j]; k < in_offsets_[j + 1]; ++k) {
+      const auto& in = in_edges_[k];
+      if (scc_.component[in.src] != c) acc += y[in.src] * edge_rates[in.edge];
+    }
+    return acc;
+  };
+  // Higher component id = earlier in topological order (sources first).
+  for (std::size_t c = components_.size(); c-- > 0;) {
+    const auto& block = components_[c];
+    const auto cc = static_cast<std::uint32_t>(c);
+    if (block.size() == 1) {
+      const auto j = block[0];
+      const double diag = exit[j] + shift;
+      if (diag <= 0.0) {
+        throw std::runtime_error(
+            "AbsorbingAnalyzer: transient state with zero exit rate");
+      }
+      y[j] = inflow(j, cc) / diag;
+      continue;
+    }
+    // Dense block:  (shift + exit_j)·y_j − Σ_{i∈block} r_ij·y_i = b_j.
+    const std::size_t k = block.size();
+    std::fill_n(lu.begin(), k * k, 0.0);
+    for (std::size_t r = 0; r < k; ++r) {
+      const auto j = block[r];
+      lu[r * k + r] = exit[j] + shift;
+      b[r] = inflow(j, cc);
+      for (std::uint32_t e = in_offsets_[j]; e < in_offsets_[j + 1]; ++e) {
+        const auto& in = in_edges_[e];
+        if (scc_.component[in.src] == cc) {
+          lu[r * k + slot_[in.src]] -= edge_rates[in.edge];
+        }
+      }
+    }
+    linalg::LuFactorView view{std::span(lu).first(k * k),
+                              std::span(ipiv).first(k), k};
+    view.factor();
+    view.solve_to(std::span(b).first(k), std::span(b).first(k));
+    for (std::size_t r = 0; r < k; ++r) y[block[r]] = b[r];
+  }
+}
+
+AbsorbingAnalyzer::AbsorbingAnalyzer(const ReachabilityGraph& graph)
+    : TransientStructure(graph) {
+  const std::size_t n = graph_.num_states();
+  const std::size_t nt = expand_.size();
+  if (nt == n) {
+    throw std::runtime_error(
+        "AbsorbingAnalyzer: chain has no absorbing states");
+  }
+
+  // Snapshot of the stored edge rates so the no-argument solve() does
+  // not copy the edge list on every call (the graph is held const, so
+  // the snapshot cannot go stale).
+  stored_rates_.resize(graph_.edges.size());
+  for (std::size_t i = 0; i < stored_rates_.size(); ++i) {
+    stored_rates_[i] = graph_.edges[i].rate;
+  }
+
+  if (nt == 0) return;  // initial state itself absorbing: MTTA = 0
+
+  if (init_compact_ == UINT32_MAX) {
+    throw std::runtime_error(
+        "AbsorbingAnalyzer: initial state is marked absorbing yet transient "
+        "states exist; inconsistent graph");
   }
 
   // Absorption must be certain from the initial marking, or MTTA
@@ -237,82 +324,17 @@ AbsorbingResult AbsorbingAnalyzer::solve_impl(
     return res;
   }
 
-  // Total exit rate per transient state (self-loops cancel in Q): walk
-  // the construction-time compacted edge lists — no per-edge self-loop
-  // test in the sweep's hot path.
-  std::vector<double> exit_rate(nt, 0.0);
-  for (std::size_t i = 0; i < nt; ++i) {
-    for (std::uint32_t k = exit_offsets_[i]; k < exit_offsets_[i + 1]; ++k) {
-      exit_rate[i] += edge_rates[exit_edges_[k]];
-    }
-  }
-
   // The expected-sojourn balance  exit_j·τ_j = π0_j + Σ_{i→j} τ_i·r_ij
-  // is solved exactly by condensation: Tarjan SCCs of the transient
-  // graph form a DAG; processing components in topological order makes
-  // every cross-component inflow a known quantity, and each component
-  // reduces to a dense system of its own (tiny: the model's only cycles
-  // are the group partition/merge flips).  This is immune to the
-  // stiffness that defeats global Gauss–Seidel when the cycle rates
-  // exceed the security rates by many orders of magnitude.
+  // is the unshifted block pass.  π₀ is the default unit mass at the
+  // initial state, or the caller's full-state distribution (solve_from).
+  const std::vector<double> exit_rate = exit_rates(edge_rates);
   std::vector<double> tau(nt, 0.0);
-  std::vector<std::uint32_t> local(nt, UINT32_MAX);  // reused across blocks
-  // π₀ hook: the default unit mass at the initial state, or the
-  // caller's full-state distribution (solve_from).  The empty branch is
-  // the literal legacy expression, so plain solves stay bitwise.
-  auto init_of = [&](std::uint32_t j) {
-    return initial_mass.empty() ? (j == init_compact_ ? 1.0 : 0.0)
-                                : initial_mass[expand_[j]];
-  };
-  // External inflow (already-solved predecessors) + initial mass.
-  auto external_b = [&](std::uint32_t j, std::uint32_t c) {
-    double b = init_of(j);
-    for (std::uint32_t k = in_offsets_[j]; k < in_offsets_[j + 1]; ++k) {
-      const auto& in = in_edges_[k];
-      if (scc_.component[in.src] != c) b += tau[in.src] * edge_rates[in.edge];
-    }
-    return b;
-  };
-  // Higher component id = earlier in topological order (sources first).
-  for (std::size_t c = components_.size(); c-- > 0;) {
-    const auto& block = components_[c];
-    if (block.size() == 1) {
-      const auto j = block[0];
-      if (exit_rate[j] <= 0.0) {
-        throw std::runtime_error(
-            "AbsorbingAnalyzer: transient state with zero exit rate");
-      }
-      tau[j] = external_b(j, static_cast<std::uint32_t>(c)) / exit_rate[j];
-      continue;
-    }
-    // Dense block solve:  exit_j·τ_j − Σ_{i∈block} r_ij·τ_i = b_j.
-    const std::size_t k = block.size();
-    if (k > 4096) {
-      throw std::runtime_error(
-          "AbsorbingAnalyzer: transient SCC of size " + std::to_string(k) +
-          " exceeds the dense-block limit");
-    }
-    for (std::size_t r = 0; r < k; ++r) {
-      local[block[r]] = static_cast<std::uint32_t>(r);
-    }
-    linalg::DenseMatrix m(k, k);
-    std::vector<double> b(k, 0.0);
-    for (std::size_t r = 0; r < k; ++r) {
-      const auto j = block[r];
-      m(r, r) = exit_rate[j];
-      b[r] = external_b(j, static_cast<std::uint32_t>(c));
-      for (std::uint32_t e = in_offsets_[j]; e < in_offsets_[j + 1]; ++e) {
-        const auto& in = in_edges_[e];
-        const auto li = local[in.src];
-        if (li != UINT32_MAX) m(r, li) -= edge_rates[in.edge];
-      }
-    }
-    const auto x = linalg::LuSolver(std::move(m)).solve(std::move(b));
-    for (std::size_t r = 0; r < k; ++r) {
-      tau[block[r]] = x[r];
-      local[block[r]] = UINT32_MAX;  // reset for the next block
-    }
+  if (initial_mass.empty()) {
+    tau[init_compact_] = 1.0;
+  } else {
+    for (std::size_t i = 0; i < nt; ++i) tau[i] = initial_mass[expand_[i]];
   }
+  solve_blocks(edge_rates, exit_rate, 0.0, tau);
 
   res.solver_blocks = components_.size();
   res.converged = true;
@@ -383,7 +405,6 @@ AbsorbingBatchResult AbsorbingAnalyzer::solve_batch(
   }
 
   auto tau = a.make_span<double>(nt * P, 0.0);
-  auto local = a.make_span<std::uint32_t>(nt, UINT32_MAX);
 
   // Dense-block scratch, sized once to the largest SCC.
   const std::size_t kmax = std::max<std::size_t>(max_block_, 1);
@@ -433,20 +454,12 @@ AbsorbingBatchResult AbsorbingAnalyzer::solve_batch(
       continue;
     }
     const std::size_t k = block.size();
-    if (k > 4096) {
-      throw std::runtime_error(
-          "AbsorbingAnalyzer: transient SCC of size " + std::to_string(k) +
-          " exceeds the dense-block limit");
-    }
     // Point-major assembly:  M[(r·k+c)·P + p],  b[r·P + p].  The scalar
     // solve accumulates b (cross-component in-edges) and the block
     // coefficients (same-component in-edges) from the same ordered
     // in-CSR scan; the targets are disjoint, so one interleaved scan
     // reproduces both accumulation sequences bitwise.
     std::fill_n(M.data(), k * k * P, 0.0);
-    for (std::size_t r = 0; r < k; ++r) {
-      local[block[r]] = static_cast<std::uint32_t>(r);
-    }
     for (std::size_t r = 0; r < k; ++r) {
       const auto j = block[r];
       double* diag = M.data() + (r * k + r) * P;
@@ -462,7 +475,7 @@ AbsorbingBatchResult AbsorbingAnalyzer::solve_batch(
           const double* ts = tau.data() + static_cast<std::size_t>(in.src) * P;
           for (std::size_t p = 0; p < P; ++p) br[p] += ts[p] * er[p];
         } else {
-          double* mrc = M.data() + (r * k + local[in.src]) * P;
+          double* mrc = M.data() + (r * k + slot_[in.src]) * P;
           for (std::size_t p = 0; p < P; ++p) mrc[p] -= er[p];
         }
       }
@@ -564,9 +577,6 @@ AbsorbingBatchResult AbsorbingAnalyzer::solve_batch(
         }
         res.blocks_reused += n_g - 1;
       }
-    }
-    for (std::size_t r = 0; r < k; ++r) {
-      local[block[r]] = UINT32_MAX;  // reset for the next block
     }
   }
 

@@ -11,11 +11,13 @@
 //   P[absorb in a]     = Σ_i τ_i · q_{i,a}
 //
 // The analyzer splits the work into structure and numbers: the absorbing
-// mask, the transient compaction and the SCC condensation are computed
-// once at construction from the graph's CSR adjacency, and each solve()
-// only runs the numeric part.  A parameter sweep therefore constructs
-// one analyzer per explored structure and calls solve(edge_rates) per
-// sweep point (see core::SweepEngine).
+// mask, the transient compaction and the SCC condensation
+// (TransientStructure) are computed once at construction from the
+// graph's CSR adjacency, and each solve() only runs the numeric part.  A
+// parameter sweep therefore constructs one analyzer per explored
+// structure and calls solve(edge_rates) per sweep point (see
+// core::SweepEngine).  The same block pass, with every exit rate shifted
+// by 2/h, is the implicit time step of spn::ReliabilityOde.
 #pragma once
 
 #include <cstdint>
@@ -83,7 +85,92 @@ struct AbsorbingBatchResult {
   std::size_t blocks_reused = 0;    ///< point-solves served by a shared LU
 };
 
-class AbsorbingAnalyzer {
+/// The structure half of the absorbing analysis, shared by
+/// AbsorbingAnalyzer (closing solves) and spn::ReliabilityOde (implicit
+/// time steps): the transient compaction, the incoming
+/// transient→transient CSR, the exit/absorption edge lists and the SCC
+/// condensation of the transient subgraph.  Building it checks nothing
+/// about absorption, so a mission phase whose own chain cannot absorb
+/// still steps on it.
+class TransientStructure {
+ public:
+  /// Throws only when a transient SCC exceeds the dense-block limit
+  /// (4096 states).
+  explicit TransientStructure(const ReachabilityGraph& graph);
+
+  /// Full → compact index (UINT32_MAX at absorbing states).
+  [[nodiscard]] const std::vector<std::uint32_t>& compact() const noexcept {
+    return compact_;
+  }
+  /// Compact → full index.
+  [[nodiscard]] const std::vector<std::uint32_t>& expand() const noexcept {
+    return expand_;
+  }
+  /// Compact index of the graph's initial state (UINT32_MAX when it is
+  /// absorbing).
+  [[nodiscard]] std::uint32_t initial_compact() const noexcept {
+    return init_compact_;
+  }
+
+  /// Total exit rate of each transient state (compact indexing) under
+  /// per-edge `edge_rates`; self-loops cancel in Q and are skipped.
+  [[nodiscard]] std::vector<double> exit_rates(
+      std::span<const double> edge_rates) const;
+
+  /// The block pass: solves the shifted sojourn balance
+  ///   (shift + exit_j)·y_j − Σ_{i→j, i transient} r_ij·y_i = b_j
+  /// IN PLACE — `y` holds b on entry and the solution on return.  The
+  /// SCC condensation is walked in topological order, so every
+  /// cross-component inflow is already solved when a component is
+  /// reached; singletons divide, multi-state components get a dense LU
+  /// over scratch sized once to the largest SCC (no per-block
+  /// allocation; LuFactorView is bitwise LuSolver).  shift 0 is the
+  /// infinite-horizon sojourn solve; shift σ = 2/h is one
+  /// Crank–Nicolson step of width h (see spn/reliability_ode.h).
+  /// Throws on a singleton whose shifted exit rate is not positive.
+  void solve_blocks(std::span<const double> edge_rates,
+                    std::span<const double> exit, double shift,
+                    std::span<double> y) const;
+
+ protected:
+  /// An incoming transient→transient edge: compact source index plus the
+  /// global edge index (for per-sweep-point rate lookup).
+  struct InEdge {
+    std::uint32_t src;
+    std::uint32_t edge;
+  };
+
+  /// An outgoing transient→absorbing edge: global edge index plus the
+  /// (full-index) absorbing destination.
+  struct AbsEdge {
+    std::uint32_t edge;
+    std::uint32_t dst;
+  };
+
+  const ReachabilityGraph& graph_;
+  std::vector<char> absorbing_;
+  std::vector<std::uint32_t> compact_;  // full → compact (UINT32_MAX = absorbing)
+  std::vector<std::uint32_t> expand_;   // compact → full
+  std::uint32_t init_compact_ = UINT32_MAX;  // UINT32_MAX = initial absorbing
+  // Incoming transient→transient edges, CSR by destination.
+  std::vector<std::uint32_t> in_offsets_;
+  std::vector<InEdge> in_edges_;
+  // Exit-rate structure hoisted out of the solves: per transient state,
+  // the global indices of its non-self-loop out-edges (graph CSR order)
+  // — the `e.src != e.dst` test runs once here instead of per point.
+  std::vector<std::uint32_t> exit_offsets_;
+  std::vector<std::uint32_t> exit_edges_;
+  // Absorption flows, likewise compacted: transient→absorbing edges.
+  std::vector<std::uint32_t> abs_offsets_;
+  std::vector<AbsEdge> abs_edges_;
+  // Condensation of the transient subgraph.
+  SccResult scc_;
+  std::vector<std::vector<std::uint32_t>> components_;
+  std::vector<std::uint32_t> slot_;  // compact → position in its SCC
+  std::size_t max_block_ = 0;  // largest SCC (dense-block scratch sizing)
+};
+
+class AbsorbingAnalyzer : private TransientStructure {
  public:
   /// The graph must contain at least one absorbing state, reachable
   /// from the initial state, and no transient region reachable from the
@@ -196,42 +283,8 @@ class AbsorbingAnalyzer {
       std::span<const double> initial_mass,
       std::span<const double> edge_rates, const SolveOptions& opts) const;
 
-  /// An incoming transient→transient edge: compact source index plus the
-  /// global edge index (for per-sweep-point rate lookup).
-  struct InEdge {
-    std::uint32_t src;
-    std::uint32_t edge;
-  };
-
-  /// An outgoing transient→absorbing edge: global edge index plus the
-  /// (full-index) absorbing destination.
-  struct AbsEdge {
-    std::uint32_t edge;
-    std::uint32_t dst;
-  };
-
-  const ReachabilityGraph& graph_;
-  std::vector<char> absorbing_;
-  std::vector<std::uint32_t> compact_;  // full → compact (UINT32_MAX = absorbing)
-  std::vector<std::uint32_t> expand_;   // compact → full
-  std::uint32_t init_compact_ = 0;
-  // Incoming transient→transient edges, CSR by destination.
-  std::vector<std::uint32_t> in_offsets_;
-  std::vector<InEdge> in_edges_;
-  // Exit-rate structure hoisted out of solve(): per transient state, the
-  // global indices of its non-self-loop out-edges (graph CSR order) —
-  // the `e.src != e.dst` test runs once here instead of per sweep point.
-  std::vector<std::uint32_t> exit_offsets_;
-  std::vector<std::uint32_t> exit_edges_;
-  // Absorption flows, likewise compacted: transient→absorbing edges.
-  std::vector<std::uint32_t> abs_offsets_;
-  std::vector<AbsEdge> abs_edges_;
   // Rates stored on the graph edges at construction (no-arg solve()).
   std::vector<double> stored_rates_;
-  // Condensation of the transient subgraph.
-  SccResult scc_;
-  std::vector<std::vector<std::uint32_t>> components_;
-  std::size_t max_block_ = 0;  // largest SCC (dense-block scratch sizing)
 };
 
 }  // namespace midas::spn

@@ -1,45 +1,48 @@
-// Stiff-horizon survival analysis via the backward Kolmogorov equation.
+// Stiff-horizon transient analysis: the surviving distribution of an
+// absorbing CTMC over a finite horizon.
 //
 // Uniformisation (transient.h) costs O(Λ·t) matrix-vector products; for
 // mission-length horizons with fast IDS rates Λ·t reaches 10⁸ and the
-// method is unusable.  The survival function obeys the backward system
+// method is unusable.  The transient-state distribution obeys the
+// adjoint (forward) system
 //
-//     u'(t) = Q_TT · u(t),   u(0) = 1,   R(t) = u_init(t),
+//     w'(t) = Q_TTᵀ · w(t),   R(t) = Σ_i w_i(t),
 //
-// where u_i(t) = P[not yet absorbed by t | start in transient state i].
-// The θ-method (Crank–Nicolson by default) advances this stiff ODE with
-// steps limited only by accuracy, not by Λ.  The implicit operator
-// (I − θh·Q_TT) is row-wise strictly diagonally dominant for every
-// h > 0, so Gauss–Seidel is guaranteed to converge at each step.
+// and Crank–Nicolson advances this stiff ODE with steps limited only by
+// accuracy, not by Λ.  One step of width h is a single shifted solve:
+// with σ = 2/h, w_new = 2y − w where y solves the sojourn balance
 //
-// Phased missions (core::MissionAnalyzer) chain the same integrator
-// across piecewise-constant segments through propagate(): the ADJOINT
-// system w'(t) = Q_TTᵀ·w(t) advances the transient state DISTRIBUTION
-// forward, so the weights at a phase boundary seed the next phase's
-// integration and R(t) = Σ_i w_i(t).  The implicit adjoint operator
-// (I − θh·Q_TTᵀ) is strictly diagonally dominant by COLUMNS (its
-// columns are the backward operator's rows), which guarantees
-// Gauss–Seidel convergence just the same.  Per-phase generators come
-// from the edge-rate constructor overload (the sweep-engine re-rating
-// idiom), so one explored graph serves every structure-invariant phase.
+//     (σ + exit_j)·y_j − Σ_{i→j} r_ij·y_i = σ·w_j,
+//
+// i.e. AbsorbingAnalyzer's block pass over the SCC condensation with
+// every exit rate shifted by σ (TransientStructure::solve_blocks).  The
+// pass is direct — singleton divisions and dense LU on the small
+// partition/merge cycles — so a step has no iteration, no tolerance and
+// no explicit Q product; the shift makes every block strictly
+// column-diagonally dominant, so the step exists even on a chain with
+// no absorbing state.
+//
+// Phased missions (core::MissionAnalyzer) chain propagate() across
+// piecewise-constant segments: the weights at a phase boundary seed the
+// next phase's integration.  Per-phase generators come from the
+// edge-rate constructor overload (the sweep-engine re-rating idiom), so
+// one explored graph serves every structure-invariant phase.
 #pragma once
 
 #include <span>
 #include <vector>
 
+#include "spn/absorbing.h"
 #include "spn/reachability.h"
 
 namespace midas::spn {
 
 struct ReliabilityOdeOptions {
-  double theta = 0.5;       // 0.5 = Crank–Nicolson, 1.0 = backward Euler
-  std::size_t steps = 800;  // integration grid size (log-spaced)
-  double decades = 8.0;     // grid spans horizon·10^-decades .. horizon
-  double gs_tolerance = 1e-12;
-  /// > 0 replaces the log-spaced grid with UNIFORM steps of this size
-  /// (the last step truncated to the horizon).  Splitting a horizon at
-  /// an exact multiple of the step then reproduces the unsplit step
-  /// sequence exactly — the phase-boundary chaining tests rely on it.
+  /// > 0 replaces the log-spaced grid (800 steps spanning
+  /// horizon·10⁻⁸ .. horizon) with UNIFORM steps of this size (the last
+  /// step truncated to the horizon).  Splitting a horizon at an exact
+  /// multiple of the step then reproduces the unsplit step sequence
+  /// exactly — the phase-boundary chaining tests rely on it.
   double uniform_step_s = 0.0;
 };
 
@@ -70,54 +73,25 @@ class ReliabilityOde {
   ReliabilityOde(const ReachabilityGraph& graph,
                  std::span<const double> edge_rates);
 
-  /// Survival probabilities R(t_j) = P[no absorption by t_j], starting
-  /// from the graph's initial state.  `times` must be ascending and
-  /// non-negative.
-  [[nodiscard]] std::vector<double> survival_at(
-      std::span<const double> times,
-      const ReliabilityOdeOptions& opts = {}) const;
-
   /// Advances the transient distribution `initial` (full-state
   /// indexing; entries at absorbing states must be zero — absorbed mass
   /// has left the survival problem) through `duration` seconds of this
-  /// generator, integrating w' = Q_TTᵀw with the same θ-method/grid as
-  /// survival_at.  Accumulates the survival-time integral, one rate
-  /// integral per functional in `functionals` (each full-state
-  /// indexed), and Σw at each `emit_times` entry (ascending, within
-  /// [0, duration]).  Empty `initial` means the graph's initial state.
+  /// generator with Crank–Nicolson steps.  Accumulates the
+  /// survival-time integral, one rate integral per functional in
+  /// `functionals` (each full-state indexed), and Σw at each
+  /// `emit_times` entry (ascending, within [0, duration]).  Empty
+  /// `initial` means the graph's initial state, so
+  /// propagate({}, t_max, {}, times).survival_at is R(times).
   [[nodiscard]] ForwardResult propagate(
       std::span<const double> initial, double duration,
       std::span<const std::vector<double>> functionals,
       std::span<const double> emit_times,
       const ReliabilityOdeOptions& opts = {}) const;
 
-  [[nodiscard]] std::size_t num_transient() const noexcept {
-    return num_transient_;
-  }
-
  private:
-  void assemble(std::span<const double> edge_rates);
-  /// The θ-grid over [0, horizon]: log-spaced by default, uniform when
-  /// opts.uniform_step_s > 0.
-  [[nodiscard]] std::vector<double> make_grid(
-      double horizon, const ReliabilityOdeOptions& opts) const;
-
-  const ReachabilityGraph& graph_;
-  // Transient-state subsystem in compact indexing.
-  std::vector<std::uint32_t> compact_;  // full → compact (UINT32_MAX = absorbing)
-  std::vector<std::uint32_t> expand_;   // compact → full
-  std::size_t num_transient_ = 0;
-  std::uint32_t initial_compact_ = 0;
-  bool initial_absorbing_ = false;
-  // Q_TT in CSR-like arrays (row = compact transient state).
-  std::vector<std::uint32_t> row_ptr_;
-  std::vector<std::uint32_t> col_;
-  std::vector<double> val_;     // off-diagonal rates into transient states
-  std::vector<double> exit_;    // total exit rate per transient state
-  // Q_TTᵀ rows (incoming transient→transient edges), for propagate().
-  std::vector<std::uint32_t> trow_ptr_;
-  std::vector<std::uint32_t> tcol_;
-  std::vector<double> tval_;
+  TransientStructure structure_;
+  std::vector<double> rates_;  // per-edge rates of this generator
+  std::vector<double> exit_;   // total exit rate per transient state
 };
 
 }  // namespace midas::spn

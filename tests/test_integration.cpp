@@ -2,6 +2,7 @@
 // driving GDH key agreement, view-synchronous membership and the secure
 // channel together, plus parameterized model-invariant sweeps across
 // the design grid the benches exercise.
+#include <ostream>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -104,6 +105,13 @@ struct GridCase {
   double t_ids;
   ids::Shape detection;
 };
+
+// Without a PrintTo gtest prints a parameter as its raw bytes, padding
+// included, and the registered ctest names then change between builds.
+void PrintTo(const GridCase& gc, std::ostream* os) {
+  *os << "m=" << gc.m << " t_ids=" << gc.t_ids << ' '
+      << ids::to_string(gc.detection);
+}
 
 class ModelGrid : public ::testing::TestWithParam<GridCase> {};
 

@@ -14,6 +14,7 @@
 
 #include "core/gcs_spn_model.h"
 #include "core/params.h"
+#include "spn/absorbing.h"
 
 namespace {
 
@@ -143,6 +144,45 @@ TEST(Mission, AttackerSurgeShortensMttsfAndReliability) {
   const auto r_phased = analyzer.reliability_at(times);
   EXPECT_LT(r_phased[0], r_constant[0]);
   EXPECT_GT(r_phased[0], 0.0);
+}
+
+// --- A phase whose own chain cannot absorb (no attacker, no false
+// positives) still integrates: only the closing segment must absorb.
+
+TEST(Mission, QuietPhaseWithoutAbsorbingStatesStillIntegrates) {
+  Params p = Params::paper_defaults();
+  p.n_init = 20;
+  p.p2 = 0.0;
+  p.schedule.segments = {ScheduleSegment{"quiet", 36000.0, {}},
+                         ScheduleSegment{"attack", kInf, {}}};
+  p.schedule.segments[0].mult.lambda_c = 0.0;
+
+  const MissionAnalyzer analyzer(p);
+  ASSERT_EQ(analyzer.timeline().size(), 2u);
+  const core::GcsSpnModel quiet(analyzer.timeline()[0].params);
+  EXPECT_THROW(spn::AbsorbingAnalyzer{quiet.graph()}, std::runtime_error);
+
+  // Reference values: the Gauss–Seidel integrator this solver replaced.
+  const auto ev = analyzer.evaluate();
+  expect_close(ev.mttsf, 755402.01554985519, 1e-9);
+  expect_close(ev.ctotal, 9346.2970308314361, 1e-9);
+  expect_close(ev.p_failure_c1, 0.18560246565160737, 1e-9);
+  expect_close(ev.p_failure_c2, 0.81439753434784479, 1e-9);
+
+  const std::vector<double> times{0.0, 3600.0, 36000.0, 86400.0, 864000.0};
+  const auto r = analyzer.reliability_at(times);
+  ASSERT_EQ(r.size(), times.size());
+  expect_close(r[0], 1.0, 1e-9);
+  expect_close(r[1], 0.99999999999934097, 1e-9);
+  expect_close(r[2], 0.99999999999934164, 1e-9);
+  expect_close(r[3], 0.97805616686389141, 1e-9);
+  // At 10 days the stock Gauss–Seidel value (0.36609599043490715) sat
+  // 7.8e-9 relative off its own converged answer — the stopping rule's
+  // error accumulated over the attack phase's steps.  The reference is
+  // that integrator run to a 1e-17 tolerance.
+  expect_close(r[4], 0.36609598757163619, 1e-9);
+  // Nothing can fail before the attack starts.
+  EXPECT_NEAR(r[2], 1.0, 1e-13);
 }
 
 // --- Structurally incompatible phases: mass parked at a marking the

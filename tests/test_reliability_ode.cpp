@@ -1,9 +1,12 @@
-// Backward-equation survival integrator: validated against closed forms
-// and against uniformisation (two completely different numerical paths
-// to the same quantity).
+// Forward transient integrator (Crank–Nicolson steps as shifted block
+// passes over the SCC condensation): validated against closed forms and
+// against uniformisation (two completely different numerical paths to
+// the same quantity).
 #include "spn/reliability_ode.h"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +15,12 @@
 namespace {
 
 using namespace midas::spn;
+
+/// R(t_j) = Σw(t_j) from the graph's initial state over [0, t_max].
+std::vector<double> survival(const ReliabilityOde& ode,
+                             const std::vector<double>& times) {
+  return ode.propagate({}, times.back(), {}, times).survival_at;
+}
 
 TEST(ReliabilityOde, TwoStateExponentialSurvival) {
   const double lambda = 0.35;
@@ -22,7 +31,7 @@ TEST(ReliabilityOde, TwoStateExponentialSurvival) {
   const ReliabilityOde ode(g);
 
   const std::vector<double> times{0.0, 0.5, 1.0, 3.0, 10.0};
-  const auto r = ode.survival_at(times);
+  const auto r = survival(ode, times);
   for (std::size_t i = 0; i < times.size(); ++i) {
     EXPECT_NEAR(r[i], std::exp(-lambda * times[i]), 2e-4)
         << "t=" << times[i];
@@ -39,7 +48,7 @@ TEST(ReliabilityOde, ErlangSurvivalMatchesClosedForm) {
   const ReliabilityOde ode(g);
 
   const std::vector<double> times{0.1, 0.5, 1.0, 2.0, 4.0};
-  const auto r = ode.survival_at(times);
+  const auto r = survival(ode, times);
   for (std::size_t i = 0; i < times.size(); ++i) {
     // Erlang(k, λ) survival = Σ_{j<k} e^{-λt}(λt)^j / j!.
     double surv = 0.0;
@@ -66,7 +75,7 @@ TEST(ReliabilityOde, AgreesWithUniformisation) {
   const TransientAnalyzer uni(g);
 
   const std::vector<double> times{0.2, 1.0, 2.5, 6.0};
-  const auto r = ode.survival_at(times);
+  const auto r = survival(ode, times);
   for (std::size_t i = 0; i < times.size(); ++i) {
     EXPECT_NEAR(r[i], 1.0 - uni.absorbed_probability_at(times[i]), 5e-4)
         << "t=" << times[i];
@@ -86,33 +95,16 @@ TEST(ReliabilityOde, StiffSystemStaysStableAndMonotone) {
   const ReliabilityOde ode(g);
 
   const std::vector<double> times{1e-4, 1e-2, 1.0, 50.0, 500.0};
-  const auto r = ode.survival_at(times);
+  const auto r = survival(ode, times);
   for (std::size_t i = 0; i < r.size(); ++i) {
     EXPECT_GE(r[i], 0.0);
     EXPECT_LE(r[i], 1.0);
-    if (i > 0) EXPECT_LE(r[i], r[i - 1] + 1e-12);
+    if (i > 0) {
+      EXPECT_LE(r[i], r[i - 1] + 1e-12);
+    }
   }
   // Survival at 500 s ≈ exp(-0.01·500) once the fast mode has relaxed.
   EXPECT_NEAR(r.back(), std::exp(-5.0), 5e-3);
-}
-
-TEST(ReliabilityOde, BackwardEulerOptionIsMoreDamped) {
-  PetriNet net;
-  const auto p = net.add_place("P", 1);
-  net.transition("fail").input(p).rate(1.0).add();
-  const auto g = explore(net);
-  const ReliabilityOde ode(g);
-
-  ReliabilityOdeOptions be;
-  be.theta = 1.0;
-  const std::vector<double> times{1.0};
-  const auto r_cn = ode.survival_at(times);
-  const auto r_be = ode.survival_at(times, be);
-  // Both approximate e^{-1}; CN should be closer.
-  EXPECT_NEAR(r_cn[0], std::exp(-1.0), 1e-4);
-  EXPECT_NEAR(r_be[0], std::exp(-1.0), 1e-2);
-  EXPECT_LE(std::abs(r_cn[0] - std::exp(-1.0)),
-            std::abs(r_be[0] - std::exp(-1.0)));
 }
 
 TEST(ReliabilityOde, InputValidation) {
@@ -123,63 +115,98 @@ TEST(ReliabilityOde, InputValidation) {
   const ReliabilityOde ode(g);
 
   const std::vector<double> bad{2.0, 1.0};
-  EXPECT_THROW((void)ode.survival_at(bad), std::invalid_argument);
+  EXPECT_THROW((void)ode.propagate({}, 2.0, {}, bad), std::invalid_argument);
   const std::vector<double> neg{-1.0};
-  EXPECT_THROW((void)ode.survival_at(neg), std::invalid_argument);
-  ReliabilityOdeOptions opts;
-  opts.theta = 0.3;
-  const std::vector<double> ok{1.0};
-  EXPECT_THROW((void)ode.survival_at(ok, opts), std::invalid_argument);
+  EXPECT_THROW((void)ode.propagate({}, 1.0, {}, neg), std::invalid_argument);
+  const std::vector<double> late{3.0};
+  EXPECT_THROW((void)ode.propagate({}, 2.0, {}, late), std::invalid_argument);
+  EXPECT_THROW((void)ode.propagate({}, -1.0, {}, {}), std::invalid_argument);
+  EXPECT_THROW((void)ode.propagate({}, std::numeric_limits<double>::infinity(),
+                                   {}, {}),
+               std::invalid_argument);
+  const std::vector<double> short_initial{1.0};
+  EXPECT_THROW((void)ode.propagate(short_initial, 1.0, {}, {}),
+               std::invalid_argument);
+  const std::vector<std::vector<double>> short_functional{{1.0}};
+  EXPECT_THROW((void)ode.propagate({}, 1.0, short_functional, {}),
+               std::invalid_argument);
+  const std::vector<double> wrong_rates{1.0, 2.0};
+  EXPECT_THROW(ReliabilityOde(g, wrong_rates), std::invalid_argument);
 }
 
-// --- propagate(): the adjoint forward integrator that phased missions
-// chain across segment boundaries (core::MissionAnalyzer).
-
-TEST(ReliabilityOde, PropagateSurvivalMatchesBackwardIntegrator) {
-  // Same θ-grid, transposed operator: the forward weight sum Σw(t) and
-  // the backward u_init(t) solve the same linear recurrence and must
-  // agree to Gauss–Seidel tolerance.
-  PetriNet net;
-  const auto a = net.add_place("A", 6);
-  net.transition("die")
-      .input(a)
-      .rate([a](const Marking& m) { return 0.4 * m[a]; })
-      .add();
-  const auto g = explore(net);
-  const ReliabilityOde ode(g);
-
-  const std::vector<double> times{0.5, 1.5, 3.0, 6.0};
-  const auto backward = ode.survival_at(times);
-  const auto fwd = ode.propagate({}, times.back(), {}, times);
-  ASSERT_EQ(fwd.survival_at.size(), times.size());
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    EXPECT_NEAR(fwd.survival_at[i], backward[i], 1e-9)
-        << "t=" << times[i];
-  }
-  // The boundary weights are the surviving distribution: their sum is
-  // the survival at the horizon.
-  double mass = 0.0;
-  for (const double w : fwd.weights) mass += w;
-  EXPECT_NEAR(mass, backward.back(), 1e-9);
-}
+// --- Chaining, cycles and functionals: what phased missions
+// (core::MissionAnalyzer) rely on across segment boundaries.
 
 TEST(ReliabilityOde, PropagateAgreesWithUniformisationShortHorizon) {
   // Cross-check against the completely independent uniformisation
-  // solver on a short, non-stiff horizon (where both are sharp).
+  // solver on a short, non-stiff horizon (where both are sharp): an
+  // acyclic chain (singleton blocks only), then a token rotating through
+  // a 3-state cycle with a failure exit from each state, whose cycle is
+  // one dense SCC block in every Crank–Nicolson step.
+  const std::vector<double> times{0.25, 0.75, 1.5, 3.0};
+  {
+    PetriNet net;
+    const auto p = net.add_place("Stages", 3);
+    net.transition("stage").input(p).rate(1.5).add();
+    const auto g = explore(net);
+    const ReliabilityOde ode(g);
+    const TransientAnalyzer uni(g);
+    const auto r = survival(ode, times);
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      EXPECT_NEAR(r[i], 1.0 - uni.absorbed_probability_at(times[i]), 1e-4)
+          << "t=" << times[i];
+    }
+  }
   PetriNet net;
-  const auto p = net.add_place("Stages", 3);
-  net.transition("stage").input(p).rate(1.5).add();
+  const auto a = net.add_place("A", 1);
+  const auto b = net.add_place("B", 0);
+  const auto c = net.add_place("C", 0);
+  net.transition("ab").input(a).output(b).rate(2.0).add();
+  net.transition("bc").input(b).output(c).rate(3.0).add();
+  net.transition("ca").input(c).output(a).rate(1.5).add();
+  net.transition("fail_a").input(a).rate(0.2).add();
+  net.transition("fail_b").input(b).rate(0.5).add();
+  net.transition("fail_c").input(c).rate(0.3).add();
   const auto g = explore(net);
+  ASSERT_EQ(g.num_states(), 4u);
   const ReliabilityOde ode(g);
   const TransientAnalyzer uni(g);
-
-  const std::vector<double> times{0.25, 0.75, 1.5, 3.0};
   const auto fwd = ode.propagate({}, times.back(), {}, times);
   for (std::size_t i = 0; i < times.size(); ++i) {
     EXPECT_NEAR(fwd.survival_at[i],
                 1.0 - uni.absorbed_probability_at(times[i]), 1e-4)
         << "t=" << times[i];
   }
+  // The state-by-state distribution, not only its sum.
+  const auto pi = uni.distribution_at(times.back());
+  const auto absorbing = g.absorbing_mask();
+  for (std::size_t s = 0; s < g.num_states(); ++s) {
+    if (!absorbing[s]) {
+      EXPECT_NEAR(fwd.weights[s], pi[s], 1e-4) << "state " << s;
+    }
+  }
+}
+
+TEST(ReliabilityOde, PropagateIntegratesAChainWithoutAbsorbingStates) {
+  // A two-state flip-flop never absorbs (AbsorbingAnalyzer rejects it),
+  // but a finite horizon is well posed: mass stays 1 and relaxes to the
+  // stationary split (μ, λ)/(λ + μ).
+  const double lambda = 0.7, mu = 0.2;
+  PetriNet net;
+  const auto up = net.add_place("Up", 1);
+  const auto down = net.add_place("Down", 0);
+  net.transition("go_down").input(up).output(down).rate(lambda).add();
+  net.transition("go_up").input(down).output(up).rate(mu).add();
+  const auto g = explore(net);
+  ASSERT_EQ(g.num_states(), 2u);
+  const ReliabilityOde ode(g);
+  const std::vector<double> times{1.0, 10.0, 100.0};
+  const auto res = ode.propagate({}, times.back(), {}, times);
+  for (const double r : res.survival_at) EXPECT_NEAR(r, 1.0, 1e-12);
+  EXPECT_NEAR(res.survival_integral, times.back(), 1e-9 * times.back());
+  const double up_share = res.weights[g.initial];
+  EXPECT_NEAR(up_share, mu / (lambda + mu), 1e-6);
+  EXPECT_NEAR(res.weights[1 - g.initial], lambda / (lambda + mu), 1e-6);
 }
 
 TEST(ReliabilityOde, UniformStepChainingReproducesUnsplitRun) {
@@ -243,9 +270,12 @@ TEST(ReliabilityOde, EmptyTimesAndZeroHorizon) {
   net.transition("fail").input(p).rate(1.0).add();
   const auto g = explore(net);
   const ReliabilityOde ode(g);
-  EXPECT_TRUE(ode.survival_at({}).empty());
+  EXPECT_TRUE(ode.propagate({}, 1.0, {}, {}).survival_at.empty());
   const std::vector<double> zero{0.0};
-  EXPECT_DOUBLE_EQ(ode.survival_at(zero)[0], 1.0);
+  const auto res = ode.propagate({}, 0.0, {}, zero);
+  EXPECT_DOUBLE_EQ(res.survival_at[0], 1.0);
+  EXPECT_EQ(res.survival_integral, 0.0);
+  EXPECT_EQ(res.weights[g.initial], 1.0);
 }
 
 }  // namespace
